@@ -30,7 +30,7 @@ int context_id() noexcept { return t_context_id; }
 bool in_parallel_task() noexcept { return t_in_parallel_for; }
 
 ThreadPool::ThreadPool(int threads) {
-  if (threads <= 0) threads = hardware_threads();
+  if (threads == 0) threads = hardware_threads();
   workers_.reserve(static_cast<std::size_t>(threads > 0 ? threads - 1 : 0));
   for (int w = 1; w < threads; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });

@@ -993,68 +993,107 @@ std::size_t PmOctree::coarsen_where(
 }
 
 namespace {
-// Cover query over the Morton-sorted leaf array: a leaf at level l covers
-// the contiguous key range [key, key + 8^(kMaxLevel-l)), so the covering
-// leaf of any probe code is its predecessor by key. This is how
-// production octree codes answer balance queries (one tree read builds
-// the array, then pure in-cache binary searches) — re-descending from
-// the root 26 times per leaf would dominate every other routine.
-const LocCode& cover_in_sorted(const std::vector<LocCode>& leaves,
-                               const LocCode& probe) {
-  auto it = std::upper_bound(
-      leaves.begin(), leaves.end(), probe,
-      [](const LocCode& a, const LocCode& b) { return a.key() < b.key(); });
-  PMO_DCHECK(it != leaves.begin());
-  return *(it - 1);
+// V_i's octants in DFS pre-order, which is (key, level) order.
+struct Octants {
+  std::vector<LocCode> codes;
+  std::vector<std::uint8_t> leaf;
+};
+
+// One charged traversal: the same reads for_each_leaf makes.
+void read_octants(PmOctree& tree, Octants& out) {
+  out.codes.clear();
+  out.leaf.clear();
+  tree.for_each_node([&](const LocCode& code, const CellData&, bool leaf) {
+    out.codes.push_back(code);
+    out.leaf.push_back(leaf);
+  });
+}
+
+// 2:1 balance as neighbor existence: a full octree is 2:1 balanced iff
+// every in-domain same-size neighbor of every internal octant exists. A
+// leaf two or more levels coarser than an adjacent leaf strictly contains
+// a same-size neighbor of that leaf's parent; conversely, a leaf strictly
+// containing a missing neighbor of an internal octant touches a leaf at
+// least two levels finer inside it. The leaf containing a missing
+// neighbor is its predecessor in (key, level) order and is the one to
+// split. A missing neighbor that no leaf contains lies in a hole left by
+// remove(); no split can fill it, so it is ignored.
+//
+// Appends to `to_split` the leaf containing each missing neighbor of the
+// internal octant `p`; returns whether there was one.
+bool find_coarse_neighbors(const Octants& octs, const LocCode& p,
+                           std::vector<LocCode>& to_split) {
+  const Anchor a = p.grid_anchor();  // one decode for all 26 neighbors
+  const std::int64_t side = std::int64_t{1} << p.level();
+  bool found = false;
+  for (const auto& d : LocCode::neighbor_directions()) {
+    const std::int64_t x = std::int64_t{a.x} + d[0];
+    const std::int64_t y = std::int64_t{a.y} + d[1];
+    const std::int64_t z = std::int64_t{a.z} + d[2];
+    if (x < 0 || y < 0 || z < 0 || x >= side || y >= side || z >= side)
+      continue;
+    const LocCode n = LocCode::from_grid(
+        p.level(), static_cast<std::uint32_t>(x),
+        static_cast<std::uint32_t>(y), static_cast<std::uint32_t>(z));
+    const auto it = std::lower_bound(octs.codes.begin(), octs.codes.end(), n);
+    if (it != octs.codes.end() && *it == n) continue;
+    // The root precedes every deeper code, so `it` has a predecessor.
+    PMO_DCHECK(it != octs.codes.begin());
+    const auto prev = static_cast<std::size_t>(it - octs.codes.begin()) - 1;
+    if (!octs.leaf[prev] || !octs.codes[prev].contains(n)) continue;
+    to_split.push_back(octs.codes[prev]);
+    found = true;
+  }
+  return found;
 }
 }  // namespace
 
 std::size_t PmOctree::balance() {
+  // Ripple passes. Each pass reads the tree once (the modeled cost of a
+  // pass) and splits one sorted batch of leaves. Refinement only adds
+  // octants, so once pass 1 has checked every internal octant, only the
+  // octants that still missed a neighbor and the leaves just split can
+  // miss one; each later pass checks those alone.
   std::size_t total = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // One traversal (pre-order DFS yields Morton order already).
-    std::vector<LocCode> leaves;
-    for_each_leaf(
-        [&](const LocCode& code, const CellData&) { leaves.push_back(code); });
+  Octants octs;
+  read_octants(*this, octs);
+  std::vector<LocCode> worklist;
+  for (std::size_t i = 0; i < octs.codes.size(); ++i) {
+    if (!octs.leaf[i]) worklist.push_back(octs.codes[i]);
+  }
+  for (;;) {
     std::vector<LocCode> to_split;
-    for (const auto& leaf : leaves) {
-      for (const auto& d : LocCode::neighbor_directions()) {
-        LocCode ncode;
-        if (!leaf.neighbor(d[0], d[1], d[2], ncode)) continue;
-        const LocCode& adj = cover_in_sorted(leaves, ncode);
-        if (adj.level() < leaf.level() - 1) to_split.push_back(adj);
-      }
+    std::vector<LocCode> next;  // the flagged octants, then the leaves split
+    for (const auto& p : worklist) {
+      if (find_coarse_neighbors(octs, p, to_split)) next.push_back(p);
     }
     std::sort(to_split.begin(), to_split.end());
     to_split.erase(std::unique(to_split.begin(), to_split.end()),
                    to_split.end());
+    const std::size_t flagged = next.size();
     for (const auto& code : to_split) {
       Path path;
       if (descend(code, path) && path.back().node.is_leaf()) {
         refine(code);
-        ++total;
-        changed = true;
+        next.push_back(code);
       }
     }
+    if (next.size() == flagged) break;
+    total += next.size() - flagged;
+    worklist = std::move(next);
+    read_octants(*this, octs);
   }
   enforce_dram_budget();
   return total;
 }
 
 bool PmOctree::is_balanced() {
-  std::vector<LocCode> leaves;
-  for_each_leaf(
-      [&](const LocCode& code, const CellData&) { leaves.push_back(code); });
-  for (const auto& leaf : leaves) {
-    for (const auto& d : LocCode::neighbor_directions()) {
-      LocCode ncode;
-      if (!leaf.neighbor(d[0], d[1], d[2], ncode)) continue;
-      if (cover_in_sorted(leaves, ncode).level() < leaf.level() - 1) {
-        return false;
-      }
-    }
+  Octants octs;
+  read_octants(*this, octs);
+  std::vector<LocCode> to_split;
+  for (std::size_t i = 0; i < octs.codes.size(); ++i) {
+    if (!octs.leaf[i] && find_coarse_neighbors(octs, octs.codes[i], to_split))
+      return false;
   }
   return true;
 }

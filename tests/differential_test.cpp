@@ -94,6 +94,9 @@ TEST_P(Differential, PmOctreeMatchesPlainOctreeUnderRandomOps) {
       ref.find(victim)->data = d;
       sut.update(victim, d);
     } else if (roll < 93) {
+      // The internal-octant rule against the reference's per-leaf rule.
+      EXPECT_EQ(sut.is_balanced(), ref.is_balanced())
+          << "is_balanced diverged at op " << op;
       const auto split = ref.balance();
       const auto split2 = sut.balance();
       EXPECT_EQ(split2, split) << "balance diverged at op " << op;

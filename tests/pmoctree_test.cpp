@@ -194,6 +194,22 @@ TEST(PmOctree, BalanceEnforcesTwoToOne) {
   EXPECT_EQ(tree.balance(), 0u);
 }
 
+TEST(PmOctree, BalanceIgnoresHolesLeftByRemove) {
+  // remove() leaves the root with a missing child, and child(1)'s
+  // neighbors there have no leaf to split. Before the child(0) hole comes
+  // the internal root; before the child(3) hole, the leaf child(2), which
+  // does not contain it.
+  for (const int hole : {0, 3}) {
+    Fixture fx;
+    auto tree = PmOctree::create(fx.heap, fx.config);
+    tree.refine(LocCode::root());
+    tree.refine(LocCode::root().child(1));
+    tree.remove(LocCode::root().child(hole));
+    EXPECT_TRUE(tree.is_balanced()) << "hole at child " << hole;
+    EXPECT_EQ(tree.balance(), 0u) << "hole at child " << hole;
+  }
+}
+
 TEST(PmOctree, SmallBudgetPlacesNodesInNvbm) {
   PmConfig pm;
   pm.dram_budget_bytes = 0;  // force everything to NVBM
