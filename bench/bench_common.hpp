@@ -110,30 +110,6 @@ inline bool bench_simd() {
   return simd::enabled();
 }
 
-/// Persist-path pruning knob the PM bundles run with:
-/// PMOCTREE_BENCH_PERSIST_PRUNING=off|0 disables dirty-subtree pruning
-/// for A/B runs. The persisted image is bit-identical either way (the
-/// determinism contract); only the persist.visits counters move.
-/// Recorded in the JSON config block.
-inline bool bench_persist_pruning() {
-  if (const char* env = std::getenv("PMOCTREE_BENCH_PERSIST_PRUNING")) {
-    const std::string s(env);
-    return s != "off" && s != "0";
-  }
-  return pmoctree::PmConfig{}.persist_pruning;
-}
-
-/// Persist-time merge concurrency cap the PM bundles run with
-/// (PmConfig::persist_threads; 0 = the attached pool's full size).
-/// Wall-clock-only — modeled results are thread-count independent.
-/// Recorded in the JSON config block.
-inline int bench_persist_threads() {
-  if (const char* env = std::getenv("PMOCTREE_BENCH_PERSIST_THREADS")) {
-    return std::atoi(env);
-  }
-  return pmoctree::PmConfig{}.persist_threads;
-}
-
 inline nvbm::Config device_config() {
   nvbm::Config c;  // Table 2 defaults, modeled latency
   c.latency_mode = nvbm::LatencyMode::kModeled;
@@ -201,8 +177,6 @@ inline Bundle make_bundle(Backend kind, std::size_t capacity,
       pmoctree::PmConfig pm = opts.pm;
       if (const long long nc = bench_node_cache_env(); nc >= 0)
         pm.node_cache_bytes = static_cast<std::size_t>(nc);
-      pm.persist_pruning = bench_persist_pruning();
-      pm.persist_threads = bench_persist_threads();
       auto mesh = std::make_unique<amr::PmOctreeBackend>(*b.device, pm);
       b.pm = mesh.get();
       b.mesh = std::move(mesh);

@@ -187,13 +187,6 @@ class BenchReport {
     // two JSONs differing only here (and in wall-clock histograms) must
     // otherwise be bit-identical.
     config["simd"] = bench_simd() ? 1 : 0;
-    // Persist-path knobs: pruning changes visit counters (never the
-    // image); merge threads are wall-clock-only. Both are schema-required
-    // so A/B JSON pairs stay honestly labeled.
-    json::Value persist = json::Value::object();
-    persist["pruning"] = bench_persist_pruning() ? 1 : 0;
-    persist["threads"] = bench_persist_threads();
-    config["persist"] = std::move(persist);
     root["config"] = std::move(config);
     json::Value table = json::Value::object();
     json::Value headers = json::Value::array();

@@ -183,15 +183,12 @@ BENCHMARK(BM_PmPersist)->Iterations(50);
 
 void BM_PersistIncremental(benchmark::State& state) {
   // The dirty-subtree pruning fast path: after a full persist, touch ONE
-  // leaf and persist again, with pruning toggled by the arg. The merge
-  // visits the dirty root-to-leaf path when pruning is on versus the
-  // whole tree when it is off — the per-iteration time difference is the
-  // tentpole's payoff in its purest form.
+  // leaf and persist again. The merge visits only the dirty root-to-leaf
+  // path and skips every clean sibling subtree via its durable twin.
   nvbm::Device dev(std::size_t{1} << 30, bench::device_config());
   nvbm::Heap heap(dev);
   pmoctree::PmConfig pm;
   pm.dram_budget_bytes = 64 << 20;  // whole working tree stays in C0
-  pm.persist_pruning = state.range(0) != 0;
   auto tree = pmoctree::PmOctree::create(heap, pm);
   for (int l = 0; l < 4; ++l)
     tree.refine_where([](const LocCode&, const CellData&) { return true; });
@@ -213,11 +210,7 @@ void BM_PersistIncremental(benchmark::State& state) {
                     : static_cast<double>(visits) /
                           static_cast<double>(persists));
 }
-BENCHMARK(BM_PersistIncremental)
-    ->Arg(1)
-    ->Arg(0)
-    ->ArgNames({"pruning"})
-    ->Iterations(50);
+BENCHMARK(BM_PersistIncremental)->Iterations(50);
 
 void BM_DeviceFlushCoalesced(benchmark::State& state) {
   // Flush-queue coalescing: `stride` controls dirty-line adjacency. With

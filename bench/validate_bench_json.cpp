@@ -8,7 +8,7 @@
 // seconds); the validator then parses <json-path> and checks the keys
 // every bench must emit: schema_version, bench, title, scale, device
 // (with the Table 2 latency fields), config (with the measurement thread
-// count and the persist-path knobs), table.headers / table.rows (row
+// count, node-cache budget and SIMD state), table.headers / table.rows (row
 // width matching the header count) and metrics. Exits non-zero with a
 // message on the first violation.
 #include <cstdio>
@@ -110,15 +110,6 @@ int main(int argc, char** argv) {
           nullptr ||
       require(*config, "simd", Value::Type::kNumber, &err) == nullptr) {
     return fail("config: " + err);
-  }
-  // Persist-path knobs (dirty-subtree pruning on/off, merge thread cap):
-  // required so A/B comparisons between bench JSONs are always labeled.
-  const Value* persist =
-      require(*config, "persist", Value::Type::kObject, &err);
-  if (persist == nullptr) return fail("config: " + err);
-  if (require(*persist, "pruning", Value::Type::kNumber, &err) == nullptr ||
-      require(*persist, "threads", Value::Type::kNumber, &err) == nullptr) {
-    return fail("config.persist: " + err);
   }
 
   const Value* table = require(*doc, "table", Value::Type::kObject, &err);

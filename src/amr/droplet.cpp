@@ -165,8 +165,8 @@ StepStats DropletWorkload::step(MeshBackend& mesh, int step_index,
   StepStats out;
   const auto& p = params_;
   const double t_new = (step_index + 1) * p.dt;
-  // Hand the pool to the backend too, so internal phases (the PM-octree's
-  // persist-time merge) can fan out under the same determinism contract.
+  // Hand the pool to the backend too, under the same determinism
+  // contract (see MeshBackend::set_exec).
   mesh.set_exec(exec_);
 
   // 1. Advance the interface and velocity fields (advection proxy):

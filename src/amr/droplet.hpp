@@ -110,9 +110,8 @@ class DropletWorkload {
   StepStats step(MeshBackend& mesh, int step_index, bool persist = true);
 
   /// Optional execution pool for the solve's chunked stencil gather
-  /// (read-only phase; see MeshBackend::sweep_leaves_chunked) and for the
-  /// backend's internal phases (forwarded via MeshBackend::set_exec — the
-  /// PM-octree parallelizes its persist-time merge). nullptr keeps
+  /// (read-only phase; see MeshBackend::sweep_leaves_chunked), also
+  /// handed to the backend through MeshBackend::set_exec. nullptr keeps
   /// everything sequential. Results — field values, modeled time, and the
   /// persisted image — are bit-identical either way: the decompositions
   /// are fixed and all reductions are replayed in deterministic order.

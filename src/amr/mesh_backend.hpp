@@ -185,9 +185,10 @@ class MeshBackend {
   }
 
   /// Attaches (or detaches, with nullptr) an execution pool the backend
-  /// may use to parallelize internal phases — currently the PM-octree's
-  /// persist-time merge. Backends without internal parallelism ignore it.
-  /// Results must not depend on whether a pool is attached.
+  /// may use to parallelize internal phases. No in-tree backend has one
+  /// (the PM-octree merges sequentially, one DFS per persist), so the
+  /// default ignores it; decorators forward it. Results must not depend
+  /// on whether a pool is attached.
   virtual void set_exec(exec::ThreadPool* /*pool*/) noexcept {}
 
   /// Refines every leaf matching `pred` one level; returns # splits.

@@ -41,7 +41,6 @@ bool PmOctreeBackend::recover() {
   retired_ns_ += tree_->dram_counters().modeled_ns();
   recover_version_base_ += tree_->topology_version() + 1;
   tree_ = pmoctree::pm_restore(heap_, pm_);
-  tree_->set_exec(exec_);
   telemetry::trace::audit("amr.recover", {{"ok", 1.0}});
   return true;
 }

@@ -55,10 +55,6 @@ class PmOctreeBackend final : public MeshBackend {
     return tree_->sample(code);
   }
   std::size_t leaf_count() override { return tree_->leaf_count(); }
-  void set_exec(exec::ThreadPool* pool) noexcept override {
-    exec_ = pool;
-    tree_->set_exec(pool);
-  }
 
   /// pm_persistent at every step end; ships the replica delta when the
   /// replica feature is on.
@@ -113,8 +109,6 @@ class PmOctreeBackend final : public MeshBackend {
   /// Modeled time accrued by tree instances retired on recovery, so the
   /// backend's clock stays monotonic across restarts.
   std::uint64_t retired_ns_ = 0;
-  /// Attached execution pool, re-applied to trees rebuilt on recover().
-  exec::ThreadPool* exec_ = nullptr;
   /// structure_version() base, advanced past the retired tree's stamp on
   /// every recover() so the new tree's restarted counter never collides.
   std::uint64_t recover_version_base_ = 0;

@@ -38,9 +38,9 @@ int context_id() noexcept;
 
 /// True while the calling thread is executing a parallel_for task (or the
 /// caller's inline share of one). Lets layered components that would fan
-/// out on a pool (the PM-octree's parallel merge) detect that they are
-/// already inside a task and fall back to inline execution instead of
-/// tripping the nesting guard.
+/// out on a pool (the droplet solve's chunked gather inside a cluster
+/// lane) detect that they are already inside a task and fall back to
+/// inline execution instead of tripping the nesting guard.
 bool in_parallel_task() noexcept;
 
 class ThreadPool {

@@ -138,24 +138,6 @@ void Device::touch_write(std::uint64_t offset, std::size_t len) {
   mark_dirty(offset, len);
 }
 
-void Device::account_reads(std::uint64_t ops, std::uint64_t bytes,
-                           std::uint64_t lines) {
-  counters_.reads += ops;
-  counters_.bytes_read += bytes;
-  charge_read(static_cast<std::size_t>(lines));
-}
-
-void Device::account_writes(std::uint64_t ops, std::uint64_t bytes,
-                            std::uint64_t lines) {
-  counters_.writes += ops;
-  counters_.bytes_written += bytes;
-  charge_write(static_cast<std::size_t>(lines));
-}
-
-void Device::mark_written(std::uint64_t offset, std::size_t len) {
-  mark_dirty(offset, len);
-}
-
 void Device::charge_cached_read(std::size_t len) {
   ++counters_.cached_reads;
   const std::size_t lines =

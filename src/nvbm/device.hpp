@@ -154,24 +154,6 @@ class Device {
   void touch_read(std::uint64_t offset, std::size_t len);
   void touch_write(std::uint64_t offset, std::size_t len);
 
-  /// Deferred-accounting replay, used by the PM-octree's parallel merge:
-  /// workers touch the working image through raw() only (no counter or
-  /// wear state is shared across threads) and log their traffic; the
-  /// coordinating thread replays the totals here in deterministic task
-  /// order. account_* charge the same modeled latency per line that
-  /// touch_read / touch_write would have; mark_written replays the
-  /// per-extent dirty/wear bookkeeping of one logged store.
-  void account_reads(std::uint64_t ops, std::uint64_t bytes,
-                     std::uint64_t lines);
-  void account_writes(std::uint64_t ops, std::uint64_t bytes,
-                      std::uint64_t lines);
-  void mark_written(std::uint64_t offset, std::size_t len);
-
-  /// Line span of [offset, offset+len) — the latency unit of one access.
-  std::size_t lines_of(std::uint64_t offset, std::size_t len) const noexcept {
-    return line_span(offset, len);
-  }
-
   /// Accounting for a read of NVBM-resident data served by a DRAM-side
   /// cache layered above the device: charged at DRAM read latency into
   /// the cached_* counters so the modeled time reflects the hit without

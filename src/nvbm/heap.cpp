@@ -139,108 +139,6 @@ std::uint64_t Heap::alloc(std::size_t size) {
   return payload;
 }
 
-std::uint64_t Heap::Arena::alloc() {
-  PMO_CHECK_MSG(next_ < slots_.size(),
-                "arena exhausted: " << slots_.size()
-                                    << " slots carved, all used");
-  const std::uint64_t payload = slots_[next_++];
-  const std::uint64_t hdr_off = payload - sizeof(ObjHeader);
-  const ObjHeader oh{obj_size_, kAllocatedFlag};
-  std::memcpy(device_->raw(hdr_off, sizeof(oh)), &oh, sizeof(oh));
-  return payload;
-}
-
-Heap::Arena Heap::carve_arena(std::size_t size, std::size_t count) {
-  PMO_CHECK_MSG(size > 0 && size <= 0xffffffffu, "bad allocation size");
-  Arena arena;
-  arena.device_ = &device_;
-  arena.obj_size_ = static_cast<std::uint32_t>(size);
-  if (count == 0) return arena;
-  const std::size_t klass = rounded(size);
-
-  std::vector<std::uint64_t> reused;
-  const auto pop_from = [&](std::vector<std::uint64_t>& list) {
-    while (reused.size() < count && !list.empty()) {
-      reused.push_back(list.back());
-      list.pop_back();
-    }
-  };
-  if (klass == fast_klass_) pop_from(fast_list_);
-  if (reused.size() < count) {
-    if (const auto it = free_lists_.find(klass); it != free_lists_.end())
-      pop_from(it->second);
-  }
-  free_bytes_ -= reused.size() * klass;
-  free_objects_ -= reused.size();
-
-  const std::size_t from_bump = count - reused.size();
-  if (from_bump > 0) {
-    std::uint64_t at = high_water_;
-    const std::uint64_t need =
-        static_cast<std::uint64_t>(from_bump) * (sizeof(ObjHeader) + klass);
-    if (at + need > device_.capacity()) {
-      throw OutOfSpaceError("NVBM heap exhausted: arena needs " +
-                            std::to_string(need) + "B, high water " +
-                            std::to_string(high_water_) + "/" +
-                            std::to_string(device_.capacity()));
-    }
-    arena.slots_.reserve(count);
-    for (std::size_t i = 0; i < from_bump; ++i) {
-      arena.slots_.push_back(at + sizeof(ObjHeader));
-      at += sizeof(ObjHeader) + klass;
-    }
-    // One durable high-water advance for the whole block — the per-alloc
-    // write_high_water line traffic is the main bump-path cost and is
-    // what the carve amortizes away.
-    write_high_water(at);
-  }
-  arena.bump_count_ = arena.slots_.size();
-  arena.slots_.insert(arena.slots_.end(), reused.begin(), reused.end());
-  return arena;
-}
-
-void Heap::release_arena(Arena& arena) {
-  // Replay the deferred header-write accounting in carve order: one
-  // 8-byte store per consumed slot, charged exactly as touch_write would
-  // have charged it.
-  std::uint64_t ops = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t lines = 0;
-  for (std::size_t i = 0; i < arena.next_; ++i) {
-    const std::uint64_t hdr_off = arena.slots_[i] - sizeof(ObjHeader);
-    ++ops;
-    bytes += sizeof(ObjHeader);
-    lines += device_.lines_of(hdr_off, sizeof(ObjHeader));
-    device_.mark_written(hdr_off, sizeof(ObjHeader));
-  }
-  if (ops != 0) device_.account_writes(ops, bytes, lines);
-
-  const std::size_t klass = rounded(arena.obj_size_);
-  for (std::size_t i = arena.next_; i < arena.slots_.size(); ++i) {
-    const std::uint64_t payload = arena.slots_[i];
-    if (i < arena.bump_count_) {
-      // Unused bump slot: needs a durable free header — attach() would
-      // treat a zero header as the torn tail and truncate everything
-      // above it, including live objects from later carves.
-      const ObjHeader oh{arena.obj_size_, kFreeFlag};
-      const std::uint64_t hdr_off = payload - sizeof(ObjHeader);
-      device_.store(hdr_off, oh);
-      device_.flush(hdr_off, sizeof(oh));
-    }
-    if (klass == fast_klass_) {
-      fast_list_.push_back(payload);
-    } else {
-      free_lists_[klass].push_back(payload);
-    }
-    free_bytes_ += klass;
-    ++free_objects_;
-  }
-  arena.slots_.clear();
-  arena.bump_count_ = 0;
-  arena.next_ = 0;
-  arena.device_ = nullptr;
-}
-
 void Heap::free(std::uint64_t payload_offset) {
   const std::uint64_t hdr_off = payload_offset - sizeof(ObjHeader);
   auto oh = device_.load<ObjHeader>(hdr_off);

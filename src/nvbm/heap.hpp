@@ -61,55 +61,6 @@ class Heap {
   /// again with a different size migrates them back first.
   void reserve_class(std::size_t size);
 
-  /// A pre-carved block of same-class allocation slots handed to one
-  /// parallel-merge worker. The carve (coordinator, sequential) claims
-  /// every offset up front — free-list pops plus ONE durable high-water
-  /// advance for the whole bump block — so alloc() itself touches no
-  /// shared heap or device-counter state: it writes the object header
-  /// through Device::raw and the coordinator replays the deferred
-  /// accounting in deterministic task order at release_arena(). The
-  /// resulting layout is a pure function of the carve sequence, so it is
-  /// identical for threads=1 and threads=8.
-  class Arena {
-   public:
-    Arena() = default;
-    /// Next payload offset; writes the allocated object header through
-    /// Device::raw (accounting deferred to release_arena). Bump-sourced
-    /// slots are consumed before free-list-sourced ones so an unused
-    /// tail preferentially lands on free-list offsets, which return to
-    /// the heap with zero device writes.
-    std::uint64_t alloc();
-    std::size_t used() const noexcept { return next_; }
-    std::size_t size() const noexcept { return slots_.size(); }
-    std::size_t remaining() const noexcept { return slots_.size() - next_; }
-
-   private:
-    friend class Heap;
-    Device* device_ = nullptr;
-    std::uint32_t obj_size_ = 0;
-    std::vector<std::uint64_t> slots_;  ///< payload offsets, bump first
-    std::size_t bump_count_ = 0;  ///< leading slots_ entries from the bump
-    std::size_t next_ = 0;
-  };
-
-  /// Carves `count` slots of `size`'s class: free-list entries first,
-  /// then one contiguous bump block with a single durable high-water
-  /// write. Crash-window note: the bump block's headers are unwritten
-  /// (zero) until alloc()/release_arena() fills them, so a crash while
-  /// arenas are live makes attach() truncate the heap at the first zero
-  /// header — sound, because everything above it is an in-flight twin
-  /// unreachable from the durable root (release + flush_all complete
-  /// before the root swap). stats()/for_each_object() share attach()'s
-  /// walk and must not be called while an arena is live.
-  Arena carve_arena(std::size_t size, std::size_t count);
-
-  /// Replays the arena's deferred header-write accounting against the
-  /// device (coordinator, deterministic task order) and returns unused
-  /// slots to the free lists. Unused *bump* slots get durable free
-  /// headers — a zero-header gap below live objects would otherwise make
-  /// a post-crash attach() discard live data.
-  void release_arena(Arena& arena);
-
   /// Returns the object to the (volatile) free lists and durably marks the
   /// object header free so a post-crash attach sees it as free.
   void free(std::uint64_t payload_offset);

@@ -38,22 +38,6 @@ struct PmConfig {
   /// Run mark-and-sweep GC at the end of every pm_persistent().
   bool gc_on_persist = true;
 
-  /// Persist-time dirty-subtree pruning: the merge skips an entirely
-  /// clean DRAM subtree in O(1) by reusing its durable twin, guided by
-  /// the kNodeSubtreeDirty summary bits stamped up the ancestor path on
-  /// every mutation. Off = the merge re-verifies child refs recursively
-  /// (the pre-pruning behaviour); the persisted image is bit-identical
-  /// either way.
-  bool persist_pruning = true;
-
-  /// Total concurrency of the persist-time parallel merge when an exec
-  /// pool is attached via set_exec(): level-2 subtree merge tasks fan out
-  /// across min(persist_threads, pool size) workers. <= 1 runs the task
-  /// pipeline inline (same machinery, same results — the determinism
-  /// contract makes thread count a wall-clock knob only). 0 means "use
-  /// the pool's full size".
-  int persist_threads = 0;
-
   /// DRAM access latencies used for modeled-time accounting (Table 2).
   std::uint64_t dram_read_ns = 60;
   std::uint64_t dram_write_ns = 60;

@@ -304,10 +304,13 @@ void PmOctree::write_back_children(NodeRef ref, const PNode& node) {
     *ref.dram_ptr() = node;
     return;
   }
-  nv_store_partial(ref.nvbm_offset(), offsetof(PNode, child),
-                   sizeof(node.child), node);
-  nv_store_partial(ref.nvbm_offset(), offsetof(PNode, flags),
-                   sizeof(node.flags), node);
+  nv_store_children(ref.nvbm_offset(), node);
+}
+
+void PmOctree::nv_store_children(std::uint64_t offset, const PNode& node) {
+  nv_store_partial(offset, offsetof(PNode, child), sizeof(node.child), node);
+  // Child-slot changes move the presence mask in flags with them.
+  nv_store_partial(offset, offsetof(PNode, flags), sizeof(node.flags), node);
 }
 
 NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
@@ -318,16 +321,8 @@ NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
   const auto ceiling = static_cast<std::size_t>(
       static_cast<double>(config_.dram_budget_bytes) * config_.dram_overflow);
   if (prefer_dram && dram_bytes() < ceiling) {
-    PNode* slot = nullptr;
-    if (!dram_free_.empty()) {
-      slot = dram_free_.back();
-      dram_free_.pop_back();
-    } else {
-      dram_pool_.emplace_back();
-      slot = &dram_pool_.back();
-    }
+    PNode* slot = take_dram_slot();
     *slot = proto;
-    ++dram_node_count_;
     charge_dram_write();
     c0_set_.insert(subtree_id(proto.code));
     return NodeRef::dram(slot);
@@ -336,6 +331,14 @@ NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
   const NodeRef ref = NodeRef::nvbm(off);
   nv_store(off, proto);
   return ref;
+}
+
+PNode* PmOctree::take_dram_slot() {
+  ++dram_node_count_;
+  if (dram_free_.empty()) return &dram_pool_.emplace_back();
+  PNode* slot = dram_free_.back();
+  dram_free_.pop_back();
+  return slot;
 }
 
 void PmOctree::free_node(NodeRef ref) {
@@ -1179,184 +1182,18 @@ void PmOctree::census_add(SampleCensus& census, const LocCode& code,
   }
 }
 
-// Per-task merge context. Workers share NO mutable tree/device state:
-// node loads go straight to the device image (accounting accumulated
-// locally), node stores and frees are logged, twin allocations come from
-// a pre-carved arena, DRAM split slots from a pre-reserved list. The
-// coordinator replays every logged side effect in deterministic task
-// order (replay_task), which makes the modeled counters, the telemetry
-// deltas, and the persisted image identical for any thread count.
-struct PmOctree::MergeCtx {
-  PmOctree* tree = nullptr;
-
-  // Deferred device accounting.
-  std::uint64_t read_ops = 0, read_bytes = 0, read_lines = 0;
-  std::uint64_t write_ops = 0, write_bytes = 0, write_lines = 0;
-  std::uint64_t dram_reads = 0, dram_writes = 0;
-
-  // Deferred side effects, replayed by the coordinator.
-  struct StoreRec {
-    std::uint64_t obj;       ///< payload offset of the node object
-    std::uint32_t off, len;  ///< stored byte range within the node
-    PNode node;              ///< full (flag-stripped) content for the cache
-  };
-  std::vector<StoreRec> stores;
-  std::vector<std::uint64_t> frees;
-  std::vector<std::pair<const PNode*, std::uint64_t>> twin_inserts;
-
-  // Deferred stats / telemetry.
-  PersistStats stats;
-  std::size_t twin_reuse = 0;
-  std::size_t changed = 0;
-
-  // Allocation sources: pre-carved for workers; `direct` (the crown /
-  // coordinator context) allocates straight from the heap and DRAM pool.
-  nvbm::Heap::Arena arena;
-  bool has_arena = false;
-  std::vector<PNode*> dram_slots;
-  std::size_t next_dram_slot = 0;
-  bool direct = false;
-  /// Finished task results, consulted by the crown merge at task roots.
-  const std::unordered_map<std::uint64_t, MergeResult>* results = nullptr;
-
-  // Measure-pass output: exact allocation demand the carve satisfies.
-  std::size_t need_twins = 0;
-  std::size_t need_dram = 0;
-
-  PNode load(std::uint64_t off) {
-    PNode n;
-    std::memcpy(&n, tree->device().raw(off, sizeof(PNode)), sizeof(PNode));
-    ++read_ops;
-    read_bytes += sizeof(PNode);
-    read_lines += tree->device().lines_of(off, sizeof(PNode));
-    return n;
-  }
-  void store_range(std::uint64_t obj, std::size_t off, std::size_t len,
-                   const PNode& n) {
-    PNode clean = n;
-    clean.flags &= ~kNodeSubtreeDirty;
-    std::memcpy(tree->device().raw(obj + off, len),
-                reinterpret_cast<const std::byte*>(&clean) + off, len);
-    ++write_ops;
-    write_bytes += len;
-    write_lines += tree->device().lines_of(obj + off, len);
-    stores.push_back({obj, static_cast<std::uint32_t>(off),
-                      static_cast<std::uint32_t>(len), clean});
-  }
-  void store(std::uint64_t obj, const PNode& n) {
-    store_range(obj, 0, sizeof(PNode), n);
-  }
-  void store_children(std::uint64_t obj, const PNode& n) {
-    store_range(obj, offsetof(PNode, child), sizeof(n.child), n);
-    // Child-slot changes move the presence mask in flags with them.
-    store_range(obj, offsetof(PNode, flags), sizeof(n.flags), n);
-  }
-  std::uint64_t alloc_twin() {
-    if (direct) return tree->heap_.alloc(kNodeSize);
-    return arena.alloc();
-  }
-  PNode* take_dram_slot() {
-    if (direct) {
-      PmOctree& t = *tree;
-      PNode* slot = nullptr;
-      if (!t.dram_free_.empty()) {
-        slot = t.dram_free_.back();
-        t.dram_free_.pop_back();
-      } else {
-        t.dram_pool_.emplace_back();
-        slot = &t.dram_pool_.back();
-      }
-      ++t.dram_node_count_;
-      return slot;
-    }
-    PMO_DCHECK(next_dram_slot < dram_slots.size());
-    return dram_slots[next_dram_slot++];
-  }
-
-  struct MeasureR {
-    bool wd = false;       ///< the merge's working ref will be DRAM
-    bool changed = false;  ///< the merge will report this subtree changed
-  };
-  MeasureR measure(PmOctree& t, NodeRef ref);
-};
-
-struct PmOctree::MergeTask {
-  NodeRef root;
-  MergeCtx ctx;
-  MergeResult result;
-};
-
-// Mirrors persist_subtree's decisions exactly, counting the twin
-// allocations and DRAM split slots the merge will perform — so the carve
-// is exact and Arena::alloc never falls back to shared heap state. Reads
-// are charged here AND in the merge pass: the two-pass scheme honestly
-// pays for its measurement.
-PmOctree::MergeCtx::MeasureR PmOctree::MergeCtx::measure(PmOctree& t,
-                                                         NodeRef ref) {
-  if (ref.null()) return {};
-  if (ref.in_linear()) return {false, false};  // shared cold tier: final
-  if (ref.in_nvbm()) {
-    const PNode node = load(ref.nvbm_offset());
-    if (node.epoch != t.epoch_) return {false, false};
-    bool wd = false;
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      wd |= measure(t, node.child_ref(i)).wd;
-    if (wd) {
-      ++need_twins;  // split: an NVBM twin object ...
-      ++need_dram;   // ... plus a DRAM working slot
-    }
-    return {wd, true};
-  }
-  ++dram_reads;
-  const PNode* ptr = ref.dram_ptr();
-  const bool clean =
-      ptr->epoch != t.epoch_ && (ptr->flags & kNodeSubtreeDirty) == 0;
-  if (t.config_.persist_pruning && clean &&
-      t.twins_.find(ptr) != t.twins_.end())
-    return {true, false};
-  const bool dirty = ptr->epoch == t.epoch_;
-  bool child_changed = false;
-  for (int i = 0; i < kChildrenPerNode; ++i)
-    child_changed |= measure(t, ptr->child_ref(i)).changed;
-  if (!dirty && !child_changed && t.twins_.find(ptr) != t.twins_.end())
-    return {true, false};
-  ++need_twins;
-  return {true, true};
-}
-
-void PmOctree::measure_subtree(NodeRef ref, MergeCtx& ctx) {
-  ctx.measure(*this, ref);
-}
-
-bool PmOctree::merge_would_recurse(NodeRef ref) {
-  if (ref.null()) return false;
-  if (ref.in_linear()) return false;  // chains are durable and immutable
-  if (ref.in_nvbm()) {
-    const PNode node = device().load<PNode>(ref.nvbm_offset());
-    return node.epoch == epoch_;  // shared subtrees are final already
-  }
-  charge_dram_read();
-  const PNode* ptr = ref.dram_ptr();
-  const bool clean =
-      ptr->epoch != epoch_ && (ptr->flags & kNodeSubtreeDirty) == 0;
-  return !(config_.persist_pruning && clean &&
-           twins_.find(ptr) != twins_.end());
-}
-
-PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
+PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
+                                                PersistStats& stats,
+                                                std::size_t& changed) {
   if (ref.null()) return {ref, ref, false};
-  if (ctx.results != nullptr) {
-    if (const auto it = ctx.results->find(ref.bits());
-        it != ctx.results->end())
-      return it->second;
-  }
   // A linear record is part of V_{i-1}'s compacted image and is immutable:
   // it serves both versions as-is (mutations promote records out of the
   // chain before ever reaching the merge).
   if (ref.in_linear()) return {ref, ref, false};
   if (ref.in_nvbm()) {
-    ++ctx.stats.visits;
-    PNode node = ctx.load(ref.nvbm_offset());
+    ++stats.visits;
+    // Merge reads bypass the node cache: one charged device load each.
+    PNode node = device().load<PNode>(ref.nvbm_offset());
     if (node.epoch != epoch_) {
       // Shared with V_{i-1}. Invariant: a shared NVBM node never has DRAM
       // descendants (established by the split below at the persist that
@@ -1364,11 +1201,11 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
       return {ref, ref, false};
     }
     // Private NVBM node: persist the children first.
-    ++ctx.changed;
+    ++changed;
     MergeResult child_res[kChildrenPerNode];
     bool have_dram_child = false;
     for (int i = 0; i < kChildrenPerNode; ++i) {
-      child_res[i] = persist_subtree(node.child_ref(i), ctx);
+      child_res[i] = persist_subtree(node.child_ref(i), stats, changed);
       if (!child_res[i].wref.null() && child_res[i].wref.in_dram())
         have_dram_child = true;
     }
@@ -1381,7 +1218,7 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
           relink = true;
         }
       }
-      if (relink) ctx.store_children(ref.nvbm_offset(), node);
+      if (relink) nv_store_children(ref.nvbm_offset(), node);
       return {ref, ref, true};  // created this epoch: new vs V_{i-1}
     }
     // This node sits above DRAM children: split it into a DRAM working
@@ -1394,33 +1231,33 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
       working.set_child(i, child_res[i].wref);
     }
     twin.set_parent(NodeRef{});
-    const std::uint64_t twin_off = ctx.alloc_twin();
-    ctx.store(twin_off, twin);
-    PNode* slot = ctx.take_dram_slot();
+    const std::uint64_t twin_off = heap_.alloc(kNodeSize);
+    nv_store(twin_off, twin);
+    PNode* slot = take_dram_slot();
     *slot = working;
-    ++ctx.dram_writes;
-    ctx.twin_inserts.emplace_back(slot, twin_off);
-    ctx.frees.push_back(ref.nvbm_offset());
-    ++ctx.stats.merged_from_dram;
+    charge_dram_write();
+    twins_[slot] = twin_off;
+    nv_free(ref.nvbm_offset());
+    ++stats.merged_from_dram;
     return {NodeRef::dram(slot), NodeRef::nvbm(twin_off), true};
   }
 
   // DRAM node.
-  ++ctx.dram_reads;
+  charge_dram_read();
   PNode* ptr = ref.dram_ptr();
   const bool clean =
       ptr->epoch != epoch_ && (ptr->flags & kNodeSubtreeDirty) == 0;
-  if (config_.persist_pruning && clean) {
+  if (clean) {
     // Entirely-clean subtree: nothing under it mutated since its durable
     // twin was recorded, so the twin already IS its persisted image —
     // skip the subtree in O(1). A skip is not a visit: `visits` counts
     // octants the merge processes, `pruned_subtrees` counts the skips.
     if (const auto it = twins_.find(ptr); it != twins_.end()) {
-      ++ctx.stats.pruned_subtrees;
+      ++stats.pruned_subtrees;
       return {ref, NodeRef::nvbm(it->second), false};
     }
   }
-  ++ctx.stats.visits;
+  ++stats.visits;
   // Persist the children first, then decide whether the twin from the
   // previous persist can be reused.
   const bool dirty = ptr->epoch == epoch_;
@@ -1428,7 +1265,8 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
   bool child_changed = false;
   bool working_relink = false;
   for (int i = 0; i < kChildrenPerNode; ++i) {
-    const auto sub = persist_subtree(twin_content.child_ref(i), ctx);
+    const auto sub =
+        persist_subtree(twin_content.child_ref(i), stats, changed);
     twin_content.set_child(i, sub.pref);
     child_changed |= sub.changed;
     if (!(sub.wref == ptr->child_ref(i))) {
@@ -1436,167 +1274,32 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref, MergeCtx& ctx) {
       working_relink = true;
     }
   }
-  if (working_relink) ++ctx.dram_writes;
+  if (working_relink) charge_dram_write();
   // Visited: the summary bit has served its purpose for this epoch.
   ptr->flags &= ~kNodeSubtreeDirty;
-  const auto twin_it = twins_.find(ptr);
-  if (!dirty && !child_changed && twin_it != twins_.end()) {
-    ++ctx.twin_reuse;
-    return {ref, NodeRef::nvbm(twin_it->second), false};  // reuse: shared
+  if (!dirty && !child_changed) {
+    if (const auto it = twins_.find(ptr); it != twins_.end()) {
+      tm_.twin_reuse->add();
+      return {ref, NodeRef::nvbm(it->second), false};  // reuse: shared
+    }
   }
   // Write a fresh durable twin; the old one (if any) still belongs to
   // V_{i-1} and is reclaimed by GC once that version is superseded.
   twin_content.epoch = epoch_;
   twin_content.set_parent(NodeRef{});  // advisory; fixed by the parent
-  const std::uint64_t off = ctx.alloc_twin();
-  ctx.store(off, twin_content);
-  ctx.twin_inserts.emplace_back(ptr, off);
-  ++ctx.stats.merged_from_dram;
-  ++ctx.changed;
+  const std::uint64_t off = heap_.alloc(kNodeSize);
+  nv_store(off, twin_content);
+  twins_[ptr] = off;
+  ++stats.merged_from_dram;
+  ++changed;
   return {ref, NodeRef::nvbm(off), true};
 }
 
-void PmOctree::replay_task(MergeTask& task, PersistStats& stats,
-                           std::size_t& changed) {
-  MergeCtx& c = task.ctx;
-  device().account_reads(c.read_ops, c.read_bytes, c.read_lines);
-  device().account_writes(c.write_ops, c.write_bytes, c.write_lines);
-  for (const auto& s : c.stores) {
-    device().mark_written(s.obj + s.off, s.len);
-    cache_.update(s.obj, s.node, epoch_);
-  }
-  for (const auto off : c.frees) nv_free(off);
-  for (const auto& [slot, off] : c.twin_inserts) twins_[slot] = off;
-  // DRAM-side accounting (same per-node line math as charge_dram_*).
-  const auto lines = lines_for(kNodeSize, config_.cache_line);
-  dram_.reads += c.dram_reads;
-  dram_.lines_read += c.dram_reads * lines;
-  dram_.modeled_read_ns += c.dram_reads * lines * config_.dram_read_ns;
-  dram_.writes += c.dram_writes;
-  dram_.lines_written += c.dram_writes * lines;
-  dram_.modeled_write_ns += c.dram_writes * lines * config_.dram_write_ns;
-  stats.visits += c.stats.visits;
-  stats.pruned_subtrees += c.stats.pruned_subtrees;
-  stats.merged_from_dram += c.stats.merged_from_dram;
-  tm_.twin_reuse->add(c.twin_reuse);
-  changed += c.changed;
-  if (c.has_arena) {
-    PMO_DCHECK(c.arena.remaining() == 0);  // the measure pass is exact
-    heap_.release_arena(c.arena);
-    c.has_arena = false;
-  }
-}
-
-PmOctree::MergeResult PmOctree::run_merge(PersistStats& stats,
-                                          std::size_t& changed) {
-  // Crown pre-walk (levels 0-1, sequential): the merge tasks are the
-  // non-null level-2 subtrees the merge will actually reach. Partitioning
-  // at the grandchildren yields up to 64 independent tasks over disjoint
-  // SFC key ranges (the Cornerstone-style decomposition).
-  std::vector<MergeTask> tasks;
-  if (merge_would_recurse(cur_root_)) {
-    auto peek = [&](NodeRef r) {
-      if (r.in_dram()) {
-        charge_dram_read();
-        return *r.dram_ptr();
-      }
-      return device().load<PNode>(r.nvbm_offset());
-    };
-    const PNode root_node = peek(cur_root_);
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c1 = root_node.child_ref(i);
-      if (c1.null() || !merge_would_recurse(c1)) continue;
-      const PNode mid = peek(c1);
-      for (int j = 0; j < kChildrenPerNode; ++j) {
-        const NodeRef c2 = mid.child_ref(j);
-        if (!c2.null()) {
-          MergeTask t;
-          t.root = c2;
-          t.ctx.tree = this;
-          tasks.push_back(std::move(t));
-        }
-      }
-    }
-  }
-
-  // The same measure/carve/merge/replay pipeline runs at every thread
-  // count (including 1) — only the executor differs — so the heap layout
-  // and every counter are a pure function of the tree, never of
-  // scheduling. persist() reached from inside a pool task (cluster
-  // lanes) falls back to the inline executor instead of nesting.
-  const int want = config_.persist_threads;
-  const bool use_pool = pool_ != nullptr && pool_->size() > 1 &&
-                        (want == 0 || want > 1) &&
-                        !exec::in_parallel_task() && tasks.size() > 1;
-  auto run_tasks = [&](const std::function<void(std::size_t)>& fn) {
-    if (use_pool) {
-      pool_->parallel_for(tasks.size(), fn);
-    } else {
-      for (std::size_t i = 0; i < tasks.size(); ++i) fn(i);
-    }
-  };
-
-  // Measure (read-only, parallel): exact twin/split demand per task.
-  run_tasks(
-      [&](std::size_t i) { measure_subtree(tasks[i].root, tasks[i].ctx); });
-
-  // Carve per-task allocation sources (sequential): the NVBM layout and
-  // DRAM slot assignment become a pure function of task order.
-  for (auto& t : tasks) {
-    MergeCtx& c = t.ctx;
-    if (c.need_twins > 0) {
-      c.arena = heap_.carve_arena(kNodeSize, c.need_twins);
-      c.has_arena = true;
-    }
-    c.dram_slots.reserve(c.need_dram);
-    for (std::size_t k = 0; k < c.need_dram; ++k) {
-      PNode* slot = nullptr;
-      if (!dram_free_.empty()) {
-        slot = dram_free_.back();
-        dram_free_.pop_back();
-      } else {
-        dram_pool_.emplace_back();
-        slot = &dram_pool_.back();
-      }
-      ++dram_node_count_;
-      c.dram_slots.push_back(slot);
-    }
-  }
-
-  // Merge (parallel): a worker touches only task-local state, its own
-  // disjoint subtree's DRAM nodes, and fresh arena-owned NVBM objects.
-  run_tasks([&](std::size_t i) {
-    tasks[i].result = persist_subtree(tasks[i].root, tasks[i].ctx);
-  });
-
-  // Deterministic reduction: replay deferred side effects in task order.
-  std::unordered_map<std::uint64_t, MergeResult> results;
-  results.reserve(tasks.size());
-  for (auto& t : tasks) {
-    replay_task(t, stats, changed);
-    results.emplace(t.root.bits(), t.result);
-  }
-
-  // Crown merge (sequential): levels 0-1 plus anything the pre-walk ruled
-  // out of the task set; task roots resolve through the results map. The
-  // root path-copy stays on this thread, so the crash-consistency
-  // argument (V_{i-1} untouched until the root swap) is unchanged.
-  MergeTask crown;
-  crown.root = cur_root_;
-  crown.ctx.tree = this;
-  crown.ctx.direct = true;
-  crown.ctx.results = &results;
-  crown.result = persist_subtree(cur_root_, crown.ctx);
-  replay_task(crown, stats, changed);
-  return crown.result;
-}
-
 void PmOctree::collect_census(NodeRef root, SampleCensus& census) {
-  // Advisory feature-sampling walk, run sequentially after the merge.
-  // Decoupled from the merge — a pruned merge never sees clean subtrees,
-  // and a census that varied with the pruning knob would steer the layout
-  // transformation differently and break image bit-identity. Deliberately
-  // charge-free: the paper folds sampling into the merge at zero marginal
+  // Advisory feature-sampling walk, run after the merge. Decoupled from
+  // the merge — a pruned merge never sees clean subtrees, so a census
+  // taken there would sample only the dirty fringe and steer the layout
+  // transformation by it. Deliberately charge-free: the paper folds sampling into the merge at zero marginal
   // cost, and the walk must not re-inflate the counters pruning saved.
   if (root.null()) return;
   std::vector<NodeRef> stack{root};
@@ -1763,7 +1466,7 @@ PersistStats PmOctree::persist() {
   MergeResult res;
   {
     telemetry::Span merge_span("merge");  // pmoctree.persist.merge
-    res = run_merge(stats, changed);
+    res = persist_subtree(cur_root_, stats, changed);
   }
   const NodeRef new_prev = res.pref;
   cur_root_ = res.wref;  // NVBM-above-DRAM nodes may have joined C0
@@ -2089,14 +1792,7 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
     copy.set_child(i, dramify(copy.child_ref(i), moved, node_limit));
   if (dram_bytes() >= config_.dram_budget_bytes) return ref;
   // Place the copy in DRAM (force: this is the transformation's purpose).
-  PNode* slot = nullptr;
-  if (!dram_free_.empty()) {
-    slot = dram_free_.back();
-    dram_free_.pop_back();
-  } else {
-    dram_pool_.emplace_back();
-    slot = &dram_pool_.back();
-  }
+  PNode* slot = take_dram_slot();
   if (shared) {
     // The original stays as V_{i-1}'s copy AND becomes the DRAM node's
     // durable twin: the octant is unchanged, only its residence moved, so
@@ -2108,7 +1804,6 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
     nv_free(ref.nvbm_offset());
   }
   *slot = copy;
-  ++dram_node_count_;
   charge_dram_write();
   const NodeRef nref = NodeRef::dram(slot);
   ++(*moved);

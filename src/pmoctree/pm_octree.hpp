@@ -36,10 +36,6 @@
 #include "pmoctree/snapshot.hpp"
 #include "telemetry/telemetry.hpp"
 
-namespace pmo::exec {
-class ThreadPool;
-}
-
 namespace pmo::pmoctree {
 
 /// Application feature function (§3.3): returns true when the octant's
@@ -256,14 +252,6 @@ class PmOctree {
     return registry_->published().epoch;
   }
 
-  /// Attaches (or detaches, with nullptr) an exec pool for the persist
-  /// merge. The pool is borrowed, never owned; thread count changes
-  /// wall-clock only (see the determinism contract in exec/pool.hpp) —
-  /// modeled counters and the persisted image are bit-identical with and
-  /// without a pool. When persist() is reached from inside a pool task
-  /// (cluster lanes), the merge falls back to inline execution.
-  void set_exec(exec::ThreadPool* pool) noexcept { pool_ = pool; }
-
   /// pm_delete: frees all octants in both tiers and clears the roots.
   void destroy();
 
@@ -362,6 +350,9 @@ class PmOctree {
   PNode read_node(NodeRef ref);
   void write_node(NodeRef ref, const PNode& node);
   NodeRef alloc_node(const PNode& proto, bool prefer_dram);
+  /// Takes a C0 slot (free list first, else a fresh pool entry) and
+  /// counts it against the DRAM budget; the caller fills and charges it.
+  PNode* take_dram_slot();
   void free_node(NodeRef ref);
   void charge_dram_read();
   void charge_dram_write();
@@ -386,6 +377,9 @@ class PmOctree {
   /// The cache stays coherent via a full-node update.
   void nv_store_partial(std::uint64_t offset, std::size_t field_off,
                         std::size_t len, const PNode& full);
+  /// Partial store of the children array plus the flags word that
+  /// carries their presence mask.
+  void nv_store_children(std::uint64_t offset, const PNode& node);
 
   // placement --------------------------------------------------------------
   LocCode subtree_id(const LocCode& code) const;
@@ -460,36 +454,18 @@ class PmOctree {
     NodeRef pref;           ///< persistent-version ref (always NVBM)
     bool changed = false;   ///< pref differs from the previous version's
   };
-  /// Per-task merge context (defined in pm_octree.cpp): routes a merge
-  /// task's node loads/stores, twin allocations, frees, DRAM bookkeeping
-  /// and stats through task-local buffers so parallel workers share no
-  /// mutable tree/device state; the coordinator replays every logged side
-  /// effect in deterministic task order.
-  struct MergeCtx;
-  /// One level-2 merge task: its subtree root plus the pre-merge
-  /// measurement (exact twin/split/alloc counts) and the deferred logs.
-  struct MergeTask;
-  MergeResult persist_subtree(NodeRef ref, MergeCtx& ctx);
-  /// The whole merge pipeline: crown pre-walk -> parallel measure ->
-  /// arena carve -> parallel merge -> deterministic replay -> sequential
-  /// crown merge. Returns the root MergeResult.
-  MergeResult run_merge(PersistStats& stats, std::size_t& changed);
-  /// Read-only pre-merge measurement of one task subtree: exact counts of
-  /// twin allocations and DRAM split slots the merge will need (mirrors
-  /// persist_subtree's decisions), so arenas are carved exactly.
-  void measure_subtree(NodeRef ref, MergeCtx& ctx);
-  /// Mirrors persist_subtree's "will this visit recurse?" decision for
-  /// the crown pre-walk (levels 0-1).
-  bool merge_would_recurse(NodeRef ref);
-  /// Applies one finished task's deferred side effects (coordinator).
-  void replay_task(MergeTask& task, PersistStats& stats,
-                   std::size_t& changed);
+  /// One pruned DFS over the dirty fringe of V_i: skips clean DRAM
+  /// subtrees that have a twin, writes fresh twins, splits private NVBM
+  /// nodes above DRAM children. Accumulates visits/pruning/merge counts
+  /// into `stats` and the number of octants new vs V_{i-1} into `changed`.
+  MergeResult persist_subtree(NodeRef ref, PersistStats& stats,
+                              std::size_t& changed);
   /// Stamps kNodeSubtreeDirty on the DRAM prefix of path[0..i] (the
   /// mutation's ancestor chain). NVBM entries are skipped: a shared NVBM
   /// ancestor gets CoW-copied (fresh epoch) before any descendant
   /// mutation lands, and epoch == current already forces a merge visit.
   void mark_dirty_path(Path& path, std::size_t i);
-  /// Standalone post-merge sampling census walk (read-only, sequential).
+  /// Standalone post-merge sampling census walk (read-only).
   /// Decoupled from the merge so pruning cannot starve the
   /// transformation's sample of clean subtrees.
   void collect_census(NodeRef ref, SampleCensus& census);
@@ -608,8 +584,6 @@ class PmOctree {
   /// This is what PersistStats::nodes_total reports — the merge no longer
   /// traverses the whole tree, so it cannot count.
   std::size_t logical_nodes_ = 0;
-  /// Borrowed exec pool for the persist merge; nullptr = inline.
-  exec::ThreadPool* pool_ = nullptr;
 
   std::vector<FeatureFn> features_;
   /// Access heat per subtree id (decayed at each persist).

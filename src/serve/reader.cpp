@@ -88,8 +88,8 @@ pmoctree::PNode Reader::load(std::uint64_t offset) {
   // never writes these bytes, making the memcpy race-free.
   std::memcpy(&node, snap_.device().raw(offset, kNodeSize), kNodeSize);
   ++charges_.node_loads;
-  // Charged per-node, not per physical offset: lines_of(offset) depends
-  // on the allocation's alignment, and heap layout legitimately diverges
+  // Charged per-node, not per physical offset: an offset's line span
+  // depends on the allocation's alignment, and heap layout legitimately diverges
   // between runs (GC timing vs live pins). The fixed ceil(node/line)
   // charge keeps reader accounting a pure function of the query stream —
   // the bench's bit-identity surface.

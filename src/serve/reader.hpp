@@ -14,8 +14,7 @@
 //  * local ReadCharges instead of the Device counter struct. The Device's
 //    read()/touch_read() paths mutate shared counters, so readers load
 //    nodes via Device::raw() (a bounds-checked pointer, no mutation) and
-//    model the charge locally, exactly like the persist merge's deferred
-//    accounting. Pinned bytes are never written by the mutator, so the
+//    model the charge locally. Pinned bytes are never written by the mutator, so the
 //    concurrent memcpy is race-free by construction.
 // One Reader is one logical lane: it is itself single-owner (sequential
 // hand-off between threads is fine, concurrent entry is not — the debug

@@ -210,6 +210,12 @@ Gauge& Registry::gauge(std::string_view name) {
               .first->second;
 }
 
+const Gauge* Registry::find_gauge(std::string_view name) const {
+  std::lock_guard lk(mu_);
+  const auto it = gauges_.find(name);
+  return it == gauges_.end() ? nullptr : it->second.get();
+}
+
 Histogram& Registry::histogram(std::string_view name) {
   std::lock_guard lk(mu_);
   const auto it = histograms_.find(name);

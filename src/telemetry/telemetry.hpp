@@ -177,6 +177,9 @@ class Registry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
+  /// Lookup without creation: nullptr when no gauge of that name is in
+  /// the namespace (never published, or removed by drop_gauges()).
+  const Gauge* find_gauge(std::string_view name) const;
 
   /// RAII registration of a pull-mode metric source. The callback runs at
   /// every snapshot()/refresh_sources() and typically writes gauges (e.g.

@@ -54,7 +54,11 @@ void MetricSampler::add(SeriesSpec spec) {
       s.counter = &reg_.counter(s.spec.metric);
       break;
     case Kind::kGauge:
-      s.gauge = &reg_.gauge(s.spec.metric);
+      // Created here but read by name at every tick: drop_gauges()
+      // retires a gauge when its publisher dies, and a cached pointer
+      // would keep reading the retired object after a new publisher
+      // re-creates it.
+      reg_.gauge(s.spec.metric);
       break;
     case Kind::kRatio:
       s.counter = &reg_.counter(s.spec.metric);
@@ -72,8 +76,12 @@ double MetricSampler::sample(Series& s, double dt_s) {
   switch (s.spec.kind) {
     case Kind::kCounter:
       return static_cast<double>(s.counter->value());
-    case Kind::kGauge:
-      return s.gauge->value();
+    case Kind::kGauge: {
+      // Non-creating: a tick after the publisher died must not plant a
+      // ghost gauge back into the namespace.
+      const Gauge* g = reg_.find_gauge(s.spec.metric);
+      return g == nullptr ? 0.0 : g->value();
+    }
     case Kind::kRatio: {
       const double a = static_cast<double>(s.counter->value());
       const double b = static_cast<double>(s.counter2->value());

@@ -90,9 +90,11 @@ class MetricSampler {
   MetricSampler(const MetricSampler&) = delete;
   MetricSampler& operator=(const MetricSampler&) = delete;
 
-  /// Registers a series. Resolves (find-or-creates) the metric eagerly so
-  /// the first tick is as cheap as the rest. Not thread-safe against a
-  /// concurrent tick(); register everything before sampling starts.
+  /// Registers a series. Find-or-creates the metric eagerly; counters
+  /// and histograms stay resolved, gauges are looked up by name at each
+  /// tick because Registry::drop_gauges() can retire them. Not
+  /// thread-safe against a concurrent tick(); register everything before
+  /// sampling starts.
   void add(SeriesSpec spec);
 
   /// Samples every series now. Single-driver contract: all tick() calls
@@ -126,11 +128,10 @@ class MetricSampler {
 
   struct Series {
     SeriesSpec spec;
-    // Resolved once at add(); Registry references are stable for the
-    // registry's lifetime.
+    // Resolved once at add(); counter and histogram references are
+    // stable for the registry's lifetime (gauges are not: see add()).
     const Counter* counter = nullptr;
     const Counter* counter2 = nullptr;
-    const Gauge* gauge = nullptr;
     const Histogram* hist = nullptr;
     std::uint64_t stride = 1;
     std::uint64_t prev_count = 0;  ///< kRate: histogram count at last tick

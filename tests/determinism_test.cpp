@@ -167,7 +167,6 @@ run_gather_droplet(int threads, bool simd_on) {
   amr::DropletWorkload wl(params);
   exec::ThreadPool pool(threads);
   wl.set_exec(&pool);
-  mesh.set_exec(&pool);
   wl.initialize(mesh);
   for (int s = 0; s < 3; ++s) wl.step(mesh, s);
 
@@ -191,12 +190,10 @@ TEST(Determinism, GatherBitIdenticalAcrossThreadsAndSimd) {
 }
 
 // ---------------------------------------------------------------------------
-// Persist-path determinism (DESIGN.md §9): the persisted NVBM image is a
-// pure function of the logical tree — bit-identical across the merge
-// thread count AND across the dirty-subtree pruning knob. Thread count
-// additionally may not move any modeled counter; pruning legitimately
-// moves the persist visit/read counters (that is its purpose), so only
-// the image is compared across that knob.
+// Persist-path determinism (DESIGN.md §9): the persisted NVBM image and
+// every modeled counter are a pure function of the op sequence — two
+// identical runs, each on its own device and heap, must agree byte for
+// byte and count for count.
 // ---------------------------------------------------------------------------
 
 struct TreeRunOutput {
@@ -208,23 +205,20 @@ struct TreeRunOutput {
   std::vector<pmoctree::PersistStats> persists;
 };
 
-TreeRunOutput run_tree(bool pruning, int threads, bool all_nvbm = false) {
+TreeRunOutput run_tree(bool all_nvbm = false) {
   nvbm::Device dev(std::size_t{64} << 20, bench::device_config());
   nvbm::Heap heap(dev);
   pmoctree::PmConfig pm;
-  pm.persist_pruning = pruning;
   // all_nvbm evicts the whole working set to NVBM — the cold regime where
   // persist-time compaction rewrites clean subtrees as linear chains, so
   // the image compare covers packed pages and relinked parents too.
   pm.dram_budget_bytes = all_nvbm ? 0 : std::size_t{32} << 20;
   if (all_nvbm) pm.compact_min_records = 8;
-  exec::ThreadPool pool(threads);
   auto tree = pmoctree::PmOctree::create(heap, pm);
-  tree.set_exec(&pool);
 
   TreeRunOutput out;
-  // Uniform level 3: 64 level-2 subtrees, so the parallel merge has a
-  // full task fan-out to schedule differently at threads=8.
+  // Uniform level 3 (512 leaves), then scattered updates plus a few
+  // structural edits, so later persists prune most of the tree.
   for (int l = 0; l < 3; ++l)
     tree.refine_where([](const LocCode&, const CellData&) { return true; });
   out.persists.push_back(tree.persist());
@@ -305,45 +299,29 @@ void expect_same_stats(const TreeRunOutput& a, const TreeRunOutput& b) {
   EXPECT_EQ(a.dev_modeled_ns, b.dev_modeled_ns);
 }
 
-TEST(Determinism, PersistedImageBitIdenticalAcrossMergeThreads) {
-  const auto t1 = run_tree(/*pruning=*/true, /*threads=*/1);
-  const auto t8 = run_tree(/*pruning=*/true, /*threads=*/8);
-  // Full contract across thread count: image AND every modeled counter.
-  expect_same_stats(t1, t8);
-  EXPECT_TRUE(t1.image == t8.image) << "NVBM image diverged across threads";
+TEST(Determinism, PersistedImageBitIdenticalAcrossRuns) {
+  const auto a = run_tree();
+  const auto b = run_tree();
+  // Pruning must have engaged, or the later persists walked everything.
+  std::size_t pruned = 0;
+  for (const auto& s : a.persists) pruned += s.pruned_subtrees;
+  EXPECT_GT(pruned, 0u);
+  expect_same_stats(a, b);
+  EXPECT_TRUE(a.image == b.image) << "NVBM image diverged across runs";
 }
 
-TEST(Determinism, CompactedImageBitIdenticalAcrossMergeThreads) {
+TEST(Determinism, CompactedImageBitIdenticalAcrossRuns) {
   // Same contract as above, in the all-NVBM regime where persist-time
   // compaction engages: the packed chain pages, the relinked parents and
-  // every modeled counter must not depend on the merge's thread count.
-  const auto t1 = run_tree(/*pruning=*/true, /*threads=*/1, /*all_nvbm=*/true);
-  const auto t8 = run_tree(/*pruning=*/true, /*threads=*/8, /*all_nvbm=*/true);
+  // every modeled counter must repeat exactly.
+  const auto a = run_tree(/*all_nvbm=*/true);
+  const auto b = run_tree(/*all_nvbm=*/true);
   // Compaction must actually have run, or this test proves nothing.
   std::size_t compacted = 0;
-  for (const auto& s : t1.persists) compacted += s.compacted_subtrees;
+  for (const auto& s : a.persists) compacted += s.compacted_subtrees;
   EXPECT_GT(compacted, 0u);
-  expect_same_stats(t1, t8);
-  EXPECT_TRUE(t1.image == t8.image)
-      << "compacted NVBM image diverged across threads";
-}
-
-TEST(Determinism, PersistedImageBitIdenticalAcrossPruning) {
-  const auto on = run_tree(/*pruning=*/true, /*threads=*/8);
-  const auto off = run_tree(/*pruning=*/false, /*threads=*/8);
-  // Pruning must have engaged (otherwise this test proves nothing) ...
-  std::size_t pruned_on = 0, pruned_off = 0;
-  for (const auto& s : on.persists) pruned_on += s.pruned_subtrees;
-  for (const auto& s : off.persists) pruned_off += s.pruned_subtrees;
-  EXPECT_GT(pruned_on, 0u);
-  EXPECT_EQ(pruned_off, 0u);
-  // ... and visit savings are the point, so visits must differ ...
-  std::size_t visits_on = 0, visits_off = 0;
-  for (const auto& s : on.persists) visits_on += s.visits;
-  for (const auto& s : off.persists) visits_off += s.visits;
-  EXPECT_LT(visits_on, visits_off);
-  // ... while the durable image stays bit-identical.
-  EXPECT_TRUE(on.image == off.image) << "NVBM image diverged across pruning";
+  expect_same_stats(a, b);
+  EXPECT_TRUE(a.image == b.image) << "compacted NVBM image diverged";
 }
 
 TEST(Determinism, SingleLaneLegacyOverloadMatchesFactoryPath) {

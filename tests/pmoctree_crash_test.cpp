@@ -13,7 +13,6 @@
 #include <set>
 #include <vector>
 
-#include "exec/pool.hpp"
 #include "pmoctree/pm_octree.hpp"
 
 namespace pmo::pmoctree {
@@ -196,12 +195,11 @@ TEST_P(CrashInjection, HotNodeCacheNeverChangesWhatACrashLoses) {
 }
 
 TEST_P(CrashInjection, ParallelMergeKeepsCrashConsistency) {
-  // The parallel merge hands each level-2 subtree to a worker, but all
-  // device stores happen in the coordinator's deterministic replay — so
-  // the dirty-line set a crash can consume must be exactly the same as
-  // with a sequential merge, and recovery must still be nothing but the
-  // root-address swap. Crash after a persist that actually ran the
-  // thread-pool path and verify restore yields that persisted version.
+  // A merge under a tiny C0 splits private NVBM parents into DRAM working
+  // copies plus fresh twins, frees the originals and reuses freed offsets
+  // for later twins — all before the root swap. None of that may leak
+  // into the durable version: crash with in-flight mutations after two
+  // persists and verify restore yields exactly the last persisted tree.
   const int seed = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 50021 + 3);
 
@@ -211,20 +209,18 @@ TEST_P(CrashInjection, ParallelMergeKeepsCrashConsistency) {
   pm.dram_budget_bytes = 64 * sizeof(PNode);
   pm.gc_on_persist = true;
 
-  exec::ThreadPool pool(8);
   LeafMap persisted;
   {
     auto tree = PmOctree::create(heap, pm);
-    tree.set_exec(&pool);
-    // Deep uniform start so the merge has many level-2 subtree tasks to
-    // fan out across the pool.
+    // Deep uniform start under a 64-node C0: most of the tree is NVBM,
+    // so the merge splits private NVBM parents above DRAM children.
     for (int i = 0; i < 3; ++i) {
       tree.refine_where([](const LocCode&, const CellData&) { return true; });
     }
     mutate_randomly(tree, rng, 15);
-    tree.persist();  // parallel merge
+    tree.persist();  // full merge
     mutate_randomly(tree, rng, 12);
-    tree.persist();  // parallel incremental merge (pruning active)
+    tree.persist();  // incremental merge (pruning active)
     persisted = leaves_of(tree);
     mutate_randomly(tree, rng, 12);  // in-flight work the crash may eat
   }

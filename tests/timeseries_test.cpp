@@ -66,6 +66,28 @@ TEST(Timeseries, CounterAndGaugeSampling) {
   EXPECT_EQ(arr(*g, "v"), (std::vector<double>{0, 1, 2, 3}));
 }
 
+TEST(Timeseries, GaugeSeriesFollowsRepublishedGauge) {
+  // Bench bundles publish nvbm.* gauges through a registry source and
+  // drop them when the bundle dies; the next bundle re-creates them. The
+  // series must read the live gauge, not the retired one.
+  Registry reg;
+  MetricSampler sampler(reg, {16, /*refresh_sources=*/true});
+  sampler.add({"g", Kind::kGauge, "t.g", "", 0.0, true});
+  const auto drop = [&reg] { reg.drop_gauges("t."); };
+  {
+    auto first = reg.register_source(
+        [](Registry& r) { r.gauge("t.g").set(1); }, drop);
+    sampler.tick();
+  }
+  auto second =
+      reg.register_source([](Registry& r) { r.gauge("t.g").set(2); }, drop);
+  sampler.tick();
+  const auto dump = sampler.to_json();
+  const auto* g = series_of(dump, "g");
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(arr(*g, "v"), (std::vector<double>{1, 2}));
+}
+
 TEST(Timeseries, RatioSeries) {
   Registry reg;
   MetricSampler sampler(reg, {16, false});

@@ -19,8 +19,10 @@
 //    determinism.modeled_exact = 1: every metrics.counters entry except
 //    the documented-nondeterministic pmoctree.cursor.* / serve.*
 //    namespaces, every nvbm.* gauge, and every timeseries series flagged
-//    modeled=1 (t and v arrays bit-for-bit). Modeled quantities are pure
-//    functions of the workload; ANY drift is a real behavior change.
+//    modeled=1 (t and v arrays bit-for-bit; a diverged series is reported
+//    at its first differing point: index, tick t, baseline and current
+//    value). Modeled quantities are pure functions of the workload; ANY
+//    drift is a real behavior change.
 //  * EXACT always — the deterministic surfaces every bench promises
 //    regardless of live-phase noise: serve.result_hash and each
 //    serve.verify_charges field (bench_serve's fixed-stream verify
@@ -95,12 +97,12 @@ const Value* dig(const Value& root, std::initializer_list<const char*> ks) {
   return v;
 }
 
-std::string fmt(double v) {
+std::string fmt(double v, int digits = 4) {
   char buf[64];
   if (v == std::floor(v) && std::abs(v) < 1e15) {
     std::snprintf(buf, sizeof buf, "%.0f", v);
   } else {
-    std::snprintf(buf, sizeof buf, "%.4g", v);
+    std::snprintf(buf, sizeof buf, "%.*g", digits, v);
   }
   return buf;
 }
@@ -123,6 +125,12 @@ class Differ {
              double b) {
     Delta d{metric, rule, a, b, a != b, false};
     push(std::move(d));
+  }
+
+  /// A failing exact row even when the two values coincide (a series
+  /// point whose tick moved while its value did not).
+  void mismatch(const std::string& metric, double a, double b) {
+    push({metric, "exact (modeled)", a, b, true, false});
   }
 
   void exact_str(const std::string& metric, const std::string& a,
@@ -170,8 +178,10 @@ class Differ {
       // Passing exact rows are elided (there are hundreds of counters);
       // noisy headline rows always print so the table shows the trend.
       if (!d.fail && !d.warn && d.rule.rfind("exact", 0) == 0) continue;
-      os << "| " << d.metric << " | " << d.rule << " | " << fmt(d.a)
-         << " | " << fmt(d.b) << " | "
+      // Values that differ below the default precision print in full.
+      const int digits = d.a != d.b && fmt(d.a) == fmt(d.b) ? 10 : 4;
+      os << "| " << d.metric << " | " << d.rule << " | " << fmt(d.a, digits)
+         << " | " << fmt(d.b, digits) << " | "
          << (d.fail ? "**REGRESS**" : d.warn ? "warn" : "ok") << " |\n";
     }
     os << "\n" << rows_.size() << " comparisons, " << fails
@@ -377,25 +387,37 @@ int main(int argc, char** argv) {
                      "exact (modeled)", 1, 0);
           continue;
         }
-        // Point-count first, then every (t, v) pair.
         const Value* ta = series_a.find("t");
         const Value* tb = series_b->find("t");
         const Value* va = series_a.find("v");
         const Value* vb = series_b->find("v");
         if (ta == nullptr || tb == nullptr || va == nullptr ||
-            vb == nullptr || ta->size() != tb->size()) {
-          diff.exact("timeseries." + name + ".points", "exact (modeled)",
-                     ta != nullptr ? static_cast<double>(ta->size()) : -1,
-                     tb != nullptr ? static_cast<double>(tb->size()) : -1);
+            vb == nullptr) {
+          diff.mismatch("timeseries." + name + " (no t/v arrays)", 1, 0);
           continue;
         }
-        bool same = true;
-        for (std::size_t i = 0; same && i < ta->size(); ++i) {
-          same = ta->at(i).as_double() == tb->at(i).as_double() &&
-                 va->at(i).as_double() == vb->at(i).as_double();
+        // First differing (t, v) point over the common prefix, so a
+        // diverged run says where it diverged, not just that it did.
+        const std::size_t n = std::min(
+            {ta->size(), tb->size(), va->size(), vb->size()});
+        std::size_t i = 0;
+        while (i < n && ta->at(i).as_double() == tb->at(i).as_double() &&
+               va->at(i).as_double() == vb->at(i).as_double()) {
+          ++i;
         }
-        diff.exact("timeseries." + name, "exact (modeled)", 1,
-                   same ? 1 : 0);
+        if (i < n) {
+          const double t_a = ta->at(i).as_double();
+          const double t_b = tb->at(i).as_double();
+          diff.mismatch("timeseries." + name + " first diff at point " +
+                            std::to_string(i) + " (t=" + fmt(t_a) +
+                            (t_a == t_b ? "" : " vs " + fmt(t_b)) + ")",
+                        va->at(i).as_double(), vb->at(i).as_double());
+          continue;
+        }
+        // Equal prefix: the series match iff their lengths do.
+        diff.exact("timeseries." + name + ".points", "exact (modeled)",
+                   static_cast<double>(ta->size()),
+                   static_cast<double>(tb->size()));
       }
     }
   } else if (!modeled_exact) {
