@@ -10,8 +10,8 @@ namespace pmo::amr {
 
 const CellData* LeafChunk::find(const LocCode& code) const noexcept {
   if (leaves == 0) return nullptr;
-  // Same containment search as cluster::Partition::owner_of: the
-  // candidate is the last leaf whose key is <= code's key; it covers
+  // Containment search: the candidate is the last leaf whose key is
+  // <= code's key (leaves partition the domain); it covers
   // `code` iff code lies in its octant. Stencil gathers probe in
   // near-Morton order, so first try the last candidate (and its right
   // neighbor) before paying for the binary search. Every candidate-slot

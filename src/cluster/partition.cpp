@@ -12,14 +12,15 @@ int Partition::owner_of_index(std::size_t i) const {
 }
 
 int Partition::owner_of(const LocCode& code) const {
-  // Position of the leaf covering `code` in SFC order: the last leaf with
-  // key <= code's key (leaves partition the domain).
-  const auto it = std::upper_bound(
-      leaves.begin(), leaves.end(), code,
-      [](const LocCode& a, const LocCode& b) { return a.key() < b.key(); });
-  const std::size_t idx =
-      it == leaves.begin() ? 0 : static_cast<std::size_t>(it - leaves.begin() - 1);
-  return owner_of_index(idx);
+  // The covering leaf is the last with key <= code's key (leaves partition
+  // the domain). It lies in rank j's range, j = the number of split keys
+  // <= code's key, so rank j's first leaf has the same owner — including
+  // when empty ranks share that first leaf, and for probes before the
+  // first leaf (j = 0, index 0).
+  const auto j = std::upper_bound(split_keys.begin(), split_keys.end(),
+                                  code.key()) -
+                 split_keys.begin();
+  return owner_of_index(range_begin[static_cast<std::size_t>(j)]);
 }
 
 Partition partition_leaves(std::vector<LocCode> sorted_leaves, int procs) {
@@ -32,6 +33,11 @@ Partition partition_leaves(std::vector<LocCode> sorted_leaves, int procs) {
   for (int r = 0; r <= procs; ++r) {
     p.range_begin[static_cast<std::size_t>(r)] =
         n * static_cast<std::size_t>(r) / static_cast<std::size_t>(procs);
+  }
+  if (n > 0) {
+    for (int r = 1; r < procs; ++r)
+      p.split_keys.push_back(
+          p.leaves[p.range_begin[static_cast<std::size_t>(r)]].key());
   }
   return p;
 }

@@ -19,9 +19,13 @@ struct Partition {
   std::vector<LocCode> leaves;
   /// leaves[i] belongs to rank owner_of_index(i).
   std::vector<std::size_t> range_begin;  ///< procs+1 split points
+  /// Key of leaves[range_begin[r]] for ranks r = 1..procs-1 (empty when
+  /// there are no leaves): all owner_of needs to place a code.
+  std::vector<std::uint64_t> split_keys;
 
   int owner_of_index(std::size_t i) const;
-  /// Owner of the leaf covering `code` (by SFC position).
+  /// Owner of the leaf covering `code` (by SFC position); searches the
+  /// procs-1 split keys, not the leaves.
   int owner_of(const LocCode& code) const;
   std::size_t rank_size(int rank) const {
     return range_begin[static_cast<std::size_t>(rank) + 1] -

@@ -24,7 +24,8 @@ namespace pmo::nvbm {
 /// Index of a named durable root slot.
 inline constexpr int kMaxRoots = 16;
 
-/// Statistics of heap occupancy (drives threshold_NVBM GC scheduling).
+/// Statistics of heap occupancy. GC does not read them: the PM-octree
+/// collects at every persist, not at an occupancy threshold.
 struct HeapStats {
   std::uint64_t capacity = 0;
   std::uint64_t high_water = 0;    ///< top of ever-allocated region

@@ -16,10 +16,6 @@ struct PmConfig {
   /// a fraction of available DRAM).
   double threshold_dram = 1.0;
 
-  /// Run GC when the NVBM heap's available fraction drops below this
-  /// (the paper's threshold_NVBM).
-  double threshold_nvbm = 0.15;
-
   /// Layout transformation fires when the hottest NVBM subtree's sampled
   /// access frequency exceeds T_transform times the coldest C0 subtree's.
   double t_transform = 1.5;

@@ -19,6 +19,12 @@
 // is a pure function of the per-tree access sequence, which the exec
 // determinism contract already fixes across thread counts.
 //
+// The offset -> slot index is a flat open-addressing table allocated once
+// at construction: a power of two at least twice the slot count (so the
+// load factor never passes 1/2), linear probing from a multiplicative
+// hash, backward-shift deletion (no tombstones). Offset 0 marks an empty
+// bucket — heap payloads start at Heap::heap_begin() > 0.
+//
 // SINGLE-WRITER DISCIPLINE: this cache MUTATES ON READ — lookup() sets
 // the clock ref bit and bumps the stats counters — so it is not merely
 // "not thread-safe for writes": two concurrent lookups already race. A
@@ -31,10 +37,11 @@
 // any overlapping access fails a PMO_CHECK instead of racing silently.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -61,27 +68,34 @@ class NodeCache {
     std::uint64_t invalidations = 0;
   };
 
-  explicit NodeCache(std::size_t budget_bytes) {
-    const std::size_t n = budget_bytes / sizeof(Entry);
-    slots_.resize(n);
-    index_.reserve(n);
-  }
+  explicit NodeCache(std::size_t budget_bytes)
+      : slots_(budget_bytes / sizeof(Entry)),
+        index_(std::bit_ceil(std::max<std::size_t>(2 * slots_.size(), 2))),
+        mask_(index_.size() - 1),
+        shift_(64 - std::countr_zero(index_.size())) {}
 
   std::size_t capacity() const noexcept { return slots_.size(); }
-  std::size_t size() const noexcept { return index_.size(); }
+  std::size_t size() const noexcept { return size_; }
   const Stats& stats() const noexcept { return stats_; }
+
+  /// Index geometry, public so tests can build colliding probe runs.
+  std::size_t buckets() const noexcept { return index_.size(); }
+  std::size_t home(std::uint64_t offset) const noexcept {
+    return static_cast<std::size_t>((offset * 0x9e3779b97f4a7c15ull) >>
+                                    shift_);
+  }
 
   /// Returns the cached node for `offset` when present AND stamped with
   /// the current `epoch`; nullptr otherwise. A stale-stamp entry counts
   /// as a miss (it is dead weight awaiting overwrite, not an eviction).
   const PNode* lookup(std::uint64_t offset, std::uint32_t epoch) {
     PMO_NODE_CACHE_GUARD;
-    const auto it = index_.find(offset);
-    if (it == index_.end() || slots_[it->second].stamp != epoch) {
+    const Bucket& b = index_[find(offset)];
+    if (b.offset == 0 || slots_[b.slot].stamp != epoch) {
       ++stats_.misses;
       return nullptr;
     }
-    Entry& e = slots_[it->second];
+    Entry& e = slots_[b.slot];
     e.referenced = true;
     ++stats_.hits;
     return &e.node;
@@ -91,9 +105,11 @@ class NodeCache {
   /// Returns true when a live entry was evicted to make room.
   bool insert(std::uint64_t offset, const PNode& node, std::uint32_t epoch) {
     PMO_NODE_CACHE_GUARD;
+    PMO_DCHECK(offset != 0);
     if (slots_.empty()) return false;
-    if (const auto it = index_.find(offset); it != index_.end()) {
-      Entry& e = slots_[it->second];
+    std::size_t i = find(offset);
+    if (index_[i].offset != 0) {
+      Entry& e = slots_[index_[i].slot];
       e.node = node;
       e.stamp = epoch;
       e.referenced = true;
@@ -103,7 +119,8 @@ class NodeCache {
     Entry& e = slots_[slot];
     bool evicted = false;
     if (e.live) {
-      index_.erase(e.offset);
+      erase_at(find(e.offset));
+      i = find(offset);  // the backward shift may have moved the hole
       ++stats_.evictions;
       evicted = true;
     }
@@ -112,7 +129,8 @@ class NodeCache {
     e.stamp = epoch;
     e.referenced = true;
     e.live = true;
-    index_[offset] = slot;
+    index_[i] = Bucket{offset, slot};
+    ++size_;
     return evicted;
   }
 
@@ -120,9 +138,9 @@ class NodeCache {
   /// do not admit nodes — the cache stays a read-path structure.
   void update(std::uint64_t offset, const PNode& node, std::uint32_t epoch) {
     PMO_NODE_CACHE_GUARD;
-    const auto it = index_.find(offset);
-    if (it == index_.end()) return;
-    Entry& e = slots_[it->second];
+    const Bucket& b = index_[find(offset)];
+    if (b.offset == 0) return;
+    Entry& e = slots_[b.slot];
     e.node = node;
     e.stamp = epoch;
   }
@@ -132,11 +150,11 @@ class NodeCache {
   /// Returns true when an entry was actually dropped.
   bool invalidate(std::uint64_t offset) {
     PMO_NODE_CACHE_GUARD;
-    const auto it = index_.find(offset);
-    if (it == index_.end()) return false;
-    slots_[it->second].live = false;
-    slots_[it->second].referenced = false;
-    index_.erase(it);
+    const std::size_t i = find(offset);
+    if (index_[i].offset == 0) return false;
+    slots_[index_[i].slot].live = false;
+    slots_[index_[i].slot].referenced = false;
+    erase_at(i);
     ++stats_.invalidations;
     return true;
   }
@@ -164,9 +182,10 @@ class NodeCache {
   /// Returns the number of entries dropped.
   std::size_t clear() {
     PMO_NODE_CACHE_GUARD;
-    const std::size_t dropped = index_.size();
+    const std::size_t dropped = size_;
     stats_.invalidations += dropped;
-    index_.clear();
+    std::fill(index_.begin(), index_.end(), Bucket{});
+    size_ = 0;
     for (Entry& e : slots_) {
       e.live = false;
       e.referenced = false;
@@ -182,6 +201,11 @@ class NodeCache {
     std::uint32_t stamp = 0;
     bool referenced = false;
     bool live = false;
+  };
+  /// One index bucket; offset 0 = empty.
+  struct Bucket {
+    std::uint64_t offset = 0;
+    std::size_t slot = 0;
   };
 
 #ifndef NDEBUG
@@ -228,8 +252,35 @@ class NodeCache {
     }
   }
 
+  /// Bucket holding `offset`, or the empty bucket ending its probe run.
+  std::size_t find(std::uint64_t offset) const noexcept {
+    std::size_t i = home(offset);
+    while (index_[i].offset != 0 && index_[i].offset != offset)
+      i = (i + 1) & mask_;
+    return i;
+  }
+
+  /// Empties bucket `i` by backward shift: each later entry of the probe
+  /// run whose home does not lie cyclically in (i, j] moves into the hole,
+  /// so every remaining entry stays reachable from its home.
+  void erase_at(std::size_t i) {
+    for (std::size_t j = (i + 1) & mask_; index_[j].offset != 0;
+         j = (j + 1) & mask_) {
+      const std::size_t h = home(index_[j].offset);
+      if (((j - h) & mask_) >= ((j - i) & mask_)) {
+        index_[i] = index_[j];
+        i = j;
+      }
+    }
+    index_[i] = Bucket{};
+    --size_;
+  }
+
   std::vector<Entry> slots_;
-  std::unordered_map<std::uint64_t, std::size_t> index_;
+  std::vector<Bucket> index_;
+  std::size_t mask_;
+  int shift_;
+  std::size_t size_ = 0;
   std::size_t hand_ = 0;
   Stats stats_;
 };

@@ -18,6 +18,14 @@ constexpr std::size_t kNodeSize = sizeof(PNode);
 std::size_t lines_for(std::size_t bytes, std::size_t line) noexcept {
   return (bytes + line - 1) / line;
 }
+
+/// Eq. 1's floor(log_Fanout(Size_DRAM)): the depth span of a subtree
+/// whose octants fill a `budget_bytes` C0.
+int eq1_span(std::size_t budget_bytes) {
+  const double budget_nodes = std::max<double>(
+      1.0, static_cast<double>(budget_bytes) / kNodeSize);
+  return static_cast<int>(std::floor(std::log(budget_nodes) / std::log(8.0)));
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -27,6 +35,7 @@ std::size_t lines_for(std::size_t bytes, std::size_t line) noexcept {
 PmOctree::PmOctree(nvbm::Heap& heap, PmConfig config)
     : heap_(heap),
       config_(config),
+      eq1_span_(eq1_span(config.dram_budget_bytes)),
       cache_(config.node_cache_bytes),
       page_cache_(config.page_cache_bytes) {
   // PNodes dominate heap traffic; give their size class the O(1)
@@ -145,7 +154,12 @@ void PmOctree::charge_dram_write() {
 }
 
 void PmOctree::touch_heat(const LocCode& code, double amount) {
-  heat_[subtree_id(code)] += amount;
+  const LocCode id = subtree_id(code);
+  if (heat_memo_ == nullptr || !(id == heat_memo_id_)) {
+    heat_memo_ = &heat_[id];
+    heat_memo_id_ = id;
+  }
+  *heat_memo_ += amount;
 }
 
 PNode PmOctree::read_node(NodeRef ref) {
@@ -359,11 +373,7 @@ void PmOctree::free_node(NodeRef ref) {
 
 int PmOctree::subtree_level() const noexcept {
   // Paper Eq. 1: L_sub = Depth_octree - floor(log_Fanout(Size_DRAM)).
-  const double budget_nodes = std::max<double>(
-      1.0, static_cast<double>(config_.dram_budget_bytes) / kNodeSize);
-  const int span =
-      static_cast<int>(std::floor(std::log(budget_nodes) / std::log(8.0)));
-  return std::clamp(depth_ - span, 0, depth_);
+  return std::clamp(depth_ - eq1_span_, 0, depth_);
 }
 
 LocCode PmOctree::subtree_id(const LocCode& code) const {
@@ -1579,6 +1589,7 @@ PersistStats PmOctree::persist() {
       config_.dram_budget_bytes = std::clamp(
           static_cast<std::size_t>(budget), config_.auto_budget_min_bytes,
           config_.auto_budget_max_bytes);
+      eq1_span_ = eq1_span(config_.dram_budget_bytes);
     }
   }
 
@@ -1756,6 +1767,7 @@ void PmOctree::destroy() {
   heap_.sweep([](std::uint64_t) { return false; });
   c0_set_.clear();
   heat_.clear();
+  heat_memo_ = nullptr;
 }
 
 // ---------------------------------------------------------------------------

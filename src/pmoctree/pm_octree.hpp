@@ -550,6 +550,9 @@ class PmOctree {
   // state --------------------------------------------------------------------
   nvbm::Heap& heap_;
   PmConfig config_;
+  /// Eq. 1's floor(log_8(budget nodes)), re-evaluated only where
+  /// config_.dram_budget_bytes is assigned (construction, auto-budget).
+  int eq1_span_;
   TelemetryCounters tm_;
 
   std::deque<PNode> dram_pool_;
@@ -588,6 +591,12 @@ class PmOctree {
   std::vector<FeatureFn> features_;
   /// Access heat per subtree id (decayed at each persist).
   std::unordered_map<LocCode, double, LocCodeHash> heat_;
+  /// touch_heat's memo of the last subtree it charged, so a run of
+  /// accesses inside one subtree pays the hash once. Map values keep
+  /// their address across rehash and move construction; destroy() holds
+  /// the only heat_.clear() and resets the memo with it.
+  LocCode heat_memo_id_;
+  double* heat_memo_ = nullptr;
   /// Subtree ids currently designated DRAM-resident (the C0 set).
   std::unordered_set<LocCode, LocCodeHash> c0_set_;
 

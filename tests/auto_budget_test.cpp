@@ -2,6 +2,9 @@
 // adapts to keep the NVBM tier's share of memory accesses in band.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "amr/droplet.hpp"
 #include "amr/pm_backend.hpp"
 
@@ -12,6 +15,15 @@ nvbm::Config dev_cfg() {
   nvbm::Config c;
   c.latency_mode = nvbm::LatencyMode::kModeled;
   return c;
+}
+
+/// Paper Eq. 1 recomputed from the tree's current budget and depth.
+int eq1_subtree_level(const PmOctree& tree) {
+  const double budget_nodes = std::max<double>(
+      1.0, static_cast<double>(tree.dram_budget()) / sizeof(PNode));
+  const int span =
+      static_cast<int>(std::floor(std::log(budget_nodes) / std::log(8.0)));
+  return std::clamp(tree.depth() - span, 0, tree.depth());
 }
 
 TEST(AutoBudget, GrowsUnderNvbmPressure) {
@@ -35,6 +47,9 @@ TEST(AutoBudget, GrowsUnderNvbmPressure) {
   }
   EXPECT_GT(tree.dram_budget(), before);
   EXPECT_LE(tree.dram_budget(), pm.auto_budget_max_bytes);
+  // The adapted budget moved Eq. 1's span (level 1 at the starting
+  // budget, 0 here): the tree must not keep the stale one.
+  EXPECT_EQ(tree.subtree_level(), eq1_subtree_level(tree));
 }
 
 TEST(AutoBudget, ShrinksWhenDramOverProvisioned) {
@@ -66,6 +81,7 @@ TEST(AutoBudget, ShrinksWhenDramOverProvisioned) {
   }
   EXPECT_LT(tree.dram_budget(), before);
   EXPECT_GE(tree.dram_budget(), pm.auto_budget_min_bytes);
+  EXPECT_EQ(tree.subtree_level(), eq1_subtree_level(tree));
 }
 
 TEST(AutoBudget, DisabledBudgetStaysFixed) {

@@ -2,7 +2,9 @@
 // and the scaling shapes the figure benches rely on.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <set>
 
 #include "amr/pm_backend.hpp"
 #include "cluster/cluster_sim.hpp"
@@ -81,6 +83,91 @@ TEST(Partition, MigrationCountedAgainstPreviousOwners) {
   // Identical partition: zero migration.
   const auto stats_same = analyze_partition(p1, prev);
   EXPECT_EQ(stats_same.migrated, 0u);
+}
+
+/// A graded leaf set: octants near a sphere's surface refine to level 4,
+/// the rest stop at level 1 or 2.
+std::vector<LocCode> adaptive_leaves() {
+  std::vector<LocCode> out;
+  const auto grow = [&](const auto& self, const LocCode& c) -> void {
+    const auto a = c.anchor();
+    const double side = static_cast<double>(1u << (kMaxLevel - c.level()));
+    const double full = static_cast<double>(1u << kMaxLevel);
+    const double cx = (a.x + side / 2) / full - 0.4;
+    const double cy = (a.y + side / 2) / full - 0.55;
+    const double cz = (a.z + side / 2) / full - 0.5;
+    const double r = std::sqrt(cx * cx + cy * cy + cz * cz);
+    const bool near = std::abs(r - 0.3) < side / full;
+    const int stop = near ? 4 : 1 + static_cast<int>(c.key() % 2);
+    if (c.level() >= stop) {
+      out.push_back(c);
+      return;
+    }
+    for (int i = 0; i < kChildrenPerNode; ++i) self(self, c.child(i));
+  };
+  grow(grow, LocCode::root());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// owner_of by linear scan: the covering leaf is the last with key <=
+/// code's key (index 0 before the first leaf); its owner is the last rank
+/// whose range starts at or before it.
+int brute_owner(const Partition& p, const LocCode& code) {
+  std::size_t idx = 0;
+  for (std::size_t i = 0; i < p.leaves.size(); ++i)
+    if (p.leaves[i].key() <= code.key()) idx = i;
+  int owner = 0;
+  for (int r = 0; r < p.procs; ++r)
+    if (p.range_begin[static_cast<std::size_t>(r)] <= idx) owner = r;
+  return owner;
+}
+
+TEST(Partition, SplitKeyOwnersMatchLinearScan) {
+  const auto leaves = adaptive_leaves();
+  ASSERT_GT(leaves.size(), 500u);
+  std::set<int> levels;
+  for (const auto& c : leaves) levels.insert(c.level());
+  ASSERT_GE(levels.size(), 3u);  // genuinely graded, not a uniform grid
+  static constexpr int kFaces[6][3] = {{1, 0, 0},  {-1, 0, 0}, {0, 1, 0},
+                                       {0, -1, 0}, {0, 0, 1},  {0, 0, -1}};
+  const auto prev = owner_map(partition_leaves(leaves, 7));
+  // The second set lacks its first leaves (a hole at the curve's start,
+  // as remove() leaves), so neighbor probes also land before the first
+  // leaf, where the owner is index 0's.
+  const std::vector<LocCode> holed(leaves.begin() + 9, leaves.end());
+  for (const auto& set : {leaves, holed}) {
+    for (const int procs : {1, 3, 16, static_cast<int>(set.size()) + 5}) {
+      SCOPED_TRACE(testing::Message() << set.size() << " leaves, " << procs
+                                      << " procs");
+      const auto p = partition_leaves(set, procs);
+      std::vector<std::size_t> counts(static_cast<std::size_t>(procs), 0);
+      std::vector<std::size_t> boundary(static_cast<std::size_t>(procs), 0);
+      std::size_t migrated = 0;
+      for (std::size_t i = 0; i < set.size(); ++i) {
+        const int owner = brute_owner(p, set[i]);
+        ASSERT_EQ(p.owner_of(set[i]), owner);
+        ASSERT_EQ(p.owner_of_index(i), owner);
+        ++counts[static_cast<std::size_t>(owner)];
+        if (prev.at(set[i]) != owner) ++migrated;
+        bool ghost = false;
+        for (const auto& f : kFaces) {
+          LocCode n;
+          if (!set[i].neighbor(f[0], f[1], f[2], n)) continue;
+          const int n_owner = brute_owner(p, n);
+          ASSERT_EQ(p.owner_of(n), n_owner);
+          ghost = ghost || n_owner != owner;
+        }
+        if (ghost) ++boundary[static_cast<std::size_t>(owner)];
+      }
+      const LocCode origin = LocCode::from_key(0, kMaxLevel);
+      EXPECT_EQ(p.owner_of(origin), brute_owner(p, origin));
+      const auto stats = analyze_partition(p, prev);
+      EXPECT_EQ(stats.counts, counts);
+      EXPECT_EQ(stats.boundary, boundary);
+      EXPECT_EQ(stats.migrated, migrated);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -96,6 +96,185 @@ TEST(NodeCacheUnit, ClearDropsEverythingAndReports) {
   EXPECT_EQ(cache.lookup(64, 1), nullptr);
 }
 
+/// Reference clock cache over an ordered map: the same slot, hand, stamp
+/// and stats rules as NodeCache, with an index that cannot collide.
+class ModelCache {
+ public:
+  explicit ModelCache(std::size_t capacity) : slots_(capacity) {}
+
+  std::size_t size() const { return index_.size(); }
+  const NodeCache::Stats& stats() const { return stats_; }
+
+  const double* lookup(std::uint64_t off, std::uint32_t epoch) {
+    const auto it = index_.find(off);
+    if (it == index_.end() || slots_[it->second].stamp != epoch) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    Slot& e = slots_[it->second];
+    e.referenced = true;
+    ++stats_.hits;
+    return &e.vof;
+  }
+
+  bool insert(std::uint64_t off, double vof, std::uint32_t epoch) {
+    if (const auto it = index_.find(off); it != index_.end()) {
+      slots_[it->second] = {off, vof, epoch, true, true};
+      return false;
+    }
+    std::size_t slot = 0;
+    for (;;) {
+      slot = hand_;
+      hand_ = (hand_ + 1) % slots_.size();
+      if (!slots_[slot].live || !slots_[slot].referenced) break;
+      slots_[slot].referenced = false;
+    }
+    const bool evicted = slots_[slot].live;
+    if (evicted) {
+      index_.erase(slots_[slot].offset);
+      ++stats_.evictions;
+    }
+    slots_[slot] = {off, vof, epoch, true, true};
+    index_[off] = slot;
+    return evicted;
+  }
+
+  void update(std::uint64_t off, double vof, std::uint32_t epoch) {
+    const auto it = index_.find(off);
+    if (it == index_.end()) return;
+    slots_[it->second].vof = vof;
+    slots_[it->second].stamp = epoch;
+  }
+
+  bool invalidate(std::uint64_t off) {
+    const auto it = index_.find(off);
+    if (it == index_.end()) return false;
+    slots_[it->second].live = false;
+    slots_[it->second].referenced = false;
+    index_.erase(it);
+    ++stats_.invalidations;
+    return true;
+  }
+
+  std::size_t restamp(std::uint32_t from, std::uint32_t to) {
+    std::size_t carried = 0;
+    for (Slot& e : slots_) {
+      if (e.live && e.stamp == from) {
+        e.stamp = to;
+        ++carried;
+      }
+    }
+    return carried;
+  }
+
+  std::size_t clear() {
+    const std::size_t dropped = index_.size();
+    stats_.invalidations += dropped;
+    index_.clear();
+    for (Slot& e : slots_) e.live = e.referenced = false;
+    hand_ = 0;
+    return dropped;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t offset = 0;
+    double vof = 0;
+    std::uint32_t stamp = 0;
+    bool referenced = false;
+    bool live = false;
+  };
+  std::vector<Slot> slots_;
+  std::map<std::uint64_t, std::size_t> index_;
+  std::size_t hand_ = 0;
+  NodeCache::Stats stats_;
+};
+
+TEST(NodeCacheUnit, FlatIndexMatchesReferenceClockCache) {
+  NodeCache cache(5 * (sizeof(PNode) + 16));
+  const std::size_t cap = cache.capacity();
+  ASSERT_GE(cap, 3u);
+  ASSERT_LE(cap, 8u);
+  const std::size_t last = cache.buckets() - 1;
+  // Offsets sharing the last home bucket wrap their probe run past the
+  // table end into buckets 0, 1, ...; offsets homed at 0 and 1 collide
+  // with that wrapped run. Backward-shift deletion inside such runs is
+  // what the differential drive exercises.
+  std::vector<std::uint64_t> pool;
+  std::size_t at_last = 0, at_zero = 0, at_one = 0, other = 0;
+  for (std::uint64_t off = 8; pool.size() < 14; off += 8) {
+    const std::size_t h = cache.home(off);
+    std::size_t* quota = h == last ? &at_last
+                         : h == 0  ? &at_zero
+                         : h == 1  ? &at_one
+                                   : &other;
+    const std::size_t limit = h == last ? 5 : 3;
+    if (*quota < limit) {
+      ++*quota;
+      pool.push_back(off);
+    }
+  }
+  ASSERT_EQ(at_last, 5u);
+
+  ModelCache model(cap);
+  Rng rng(0xcac4e);
+  std::uint32_t epoch = 1;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t off = pool[rng.below(pool.size())];
+    const double vof = static_cast<double>(step);
+    const auto op = rng.below(100);
+    if (op < 35) {
+      // Mostly current-epoch reads, some with a stale stamp.
+      const std::uint32_t e = rng.below(8) == 0 ? epoch - 1 : epoch;
+      const PNode* got = cache.lookup(off, e);
+      const double* want = model.lookup(off, e);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+      if (got != nullptr) {
+        ASSERT_EQ(got->data.vof, *want) << "step " << step;
+      }
+    } else if (op < 70) {
+      ASSERT_EQ(cache.insert(off, node_with(vof), epoch),
+                model.insert(off, vof, epoch))
+          << "step " << step;
+    } else if (op < 80) {
+      cache.update(off, node_with(vof), epoch);
+      model.update(off, vof, epoch);
+    } else if (op < 93) {
+      ASSERT_EQ(cache.invalidate(off), model.invalidate(off))
+          << "step " << step;
+    } else if (op < 97) {
+      // Epoch bump, carrying live entries across it or not.
+      if (rng.below(2) == 0) {
+        ASSERT_EQ(cache.restamp(epoch, epoch + 1),
+                  model.restamp(epoch, epoch + 1));
+      }
+      ++epoch;
+    } else if (op < 98) {
+      ASSERT_EQ(cache.clear(), model.clear());
+    } else {
+      // Sweep: which offsets does lookup return right now?
+      for (const std::uint64_t probe : pool) {
+        const PNode* got = cache.lookup(probe, epoch);
+        const double* want = model.lookup(probe, epoch);
+        ASSERT_EQ(got == nullptr, want == nullptr)
+            << "step " << step << " offset " << probe;
+        if (got != nullptr) {
+          ASSERT_EQ(got->data.vof, *want);
+        }
+      }
+    }
+    ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+    ASSERT_EQ(cache.stats().hits, model.stats().hits);
+    ASSERT_EQ(cache.stats().misses, model.stats().misses);
+    ASSERT_EQ(cache.stats().evictions, model.stats().evictions);
+    ASSERT_EQ(cache.stats().invalidations, model.stats().invalidations);
+  }
+  // The drive must actually have reached the interesting paths.
+  EXPECT_GT(cache.stats().evictions, 1000u);
+  EXPECT_GT(cache.stats().invalidations, 1000u);
+  EXPECT_GT(cache.stats().hits, 1000u);
+}
+
 // ---------------------------------------------------------------------------
 // Whole-tree coherence: cache on == cache off, bit for bit
 // ---------------------------------------------------------------------------
