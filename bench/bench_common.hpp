@@ -16,7 +16,6 @@
 
 #include "amr/droplet.hpp"
 #include "amr/pm_backend.hpp"
-#include "common/simd.hpp"
 #include "baseline/etree_backend.hpp"
 #include "baseline/incore_backend.hpp"
 #include "cluster/cluster_sim.hpp"
@@ -81,33 +80,6 @@ inline std::size_t bench_node_cache() {
   const long long v = bench_node_cache_env();
   return v >= 0 ? static_cast<std::size_t>(v)
                 : pmoctree::PmConfig{}.node_cache_bytes;
-}
-
-/// Set by BenchReport (and micro_ops' flag strip) when the binary was
-/// invoked with `--simd <on|off>` (flag beats environment). -1 = unset.
-inline int& bench_simd_override() {
-  static int v = -1;
-  return v;
-}
-
-/// Applies the SIMD kernel toggle for this bench run and returns the
-/// effective state: `--simd on|off` flag > PMOCTREE_BENCH_SIMD env >
-/// compiled-in default (AVX2 when the simd TU was built with it). The
-/// solve kernels are bit-identical either way (common/simd.hpp's
-/// determinism contract), so this knob moves wall-clock only — which is
-/// exactly why config.simd must be recorded: an on/off JSON pair is the
-/// bit-identity check. "on" on a binary without compiled AVX2 degrades
-/// to the portable loops (enabled() stays false).
-inline bool bench_simd() {
-  int want = bench_simd_override();
-  if (want < 0) {
-    if (const char* env = std::getenv("PMOCTREE_BENCH_SIMD")) {
-      const std::string s(env);
-      want = (s == "off" || s == "0") ? 0 : 1;
-    }
-  }
-  if (want >= 0) simd::set_enabled(want != 0);
-  return simd::enabled();
 }
 
 inline nvbm::Config device_config() {

@@ -55,9 +55,8 @@ namespace pmo::bench {
 class BenchReport {
  public:
   /// `name` is the binary name (bench_<name>.json default path); argv is
-  /// scanned for `--json <path>`, `--trace <path>`, `--threads <N>`,
-  /// `--node-cache <bytes|off>` and `--simd <on|off>`; other arguments
-  /// are left alone
+  /// scanned for `--json <path>`, `--trace <path>`, `--threads <N>` and
+  /// `--node-cache <bytes|off>`; other arguments are left alone
   /// (micro_ops forwards its argv to google-benchmark afterwards).
   /// `--trace` starts a TraceSession covering the whole bench run;
   /// write() exports it as Chrome trace-event JSON. `--threads` sets the
@@ -85,13 +84,7 @@ class BenchReport {
         bench_node_cache_override() =
             v == "off" ? 0 : std::atoll(v.c_str());
       }
-      if (std::string(argv[i]) == "--simd") {
-        const std::string v = argv[i + 1];
-        bench_simd_override() = (v == "off" || v == "0") ? 0 : 1;
-      }
     }
-    // Resolve + apply the SIMD toggle before any workload runs.
-    bench_simd();
     if (!trace_path_.empty()) {
       trace_ = std::make_unique<telemetry::trace::TraceSession>();
       telemetry::trace::name_process(0, "bench " + name_);
@@ -182,11 +175,6 @@ class BenchReport {
     // (that is its purpose) — recording it keeps cache-on/off JSON pairs
     // honestly labeled.
     config["node_cache"] = bench_node_cache();
-    // Effective SIMD kernel state (1 = AVX2 gather/mark kernels, 0 =
-    // portable loops). Wall-clock-only by the simd determinism contract:
-    // two JSONs differing only here (and in wall-clock histograms) must
-    // otherwise be bit-identical.
-    config["simd"] = bench_simd() ? 1 : 0;
     root["config"] = std::move(config);
     json::Value table = json::Value::object();
     json::Value headers = json::Value::array();

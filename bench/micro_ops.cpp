@@ -16,7 +16,6 @@
 #include "amr/neighbor_index.hpp"
 #include "baseline/bptree.hpp"
 #include "bench_report.hpp"
-#include "common/simd.hpp"
 #include "pmoctree/linear_tier.hpp"
 #include "serve/reader.hpp"
 
@@ -375,8 +374,7 @@ void emit_uniform_subtree(pmoctree::linear::Builder& b, const LocCode& code,
 
 /// The raw batched kernel: 8-lane multi-point locate against one chain,
 /// all lanes stepped one level per round (ChainView::batch_locate), with
-/// no charge model in the loop. This is the SIMD-friendly inner loop the
-/// Jacobi gather feeds.
+/// no charge model in the loop.
 void BM_BatchLocate8(benchmark::State& state) {
   nvbm::Device dev(std::size_t{64} << 20, bench::device_config());
   nvbm::Heap heap(dev);
@@ -443,36 +441,23 @@ SolveFixture make_uniform_leafset(int level) {
 }
 
 /// One Jacobi gather pass over 4096 leaves through a prebuilt
-/// face-neighbor slot table. Scalar vs AVX2 is the only difference
-/// between the two variants; outputs are bit-identical (test_simd).
-void gather_bench_impl(benchmark::State& state, bool simd_on) {
+/// face-neighbor slot table.
+void BM_Gather(benchmark::State& state) {
   const SolveFixture f = make_uniform_leafset(4);
   amr::FaceNeighborIndex index;
   index.build(f.keys.data(), f.levels.data(), f.keys.size());
   std::vector<double> relaxed(f.keys.size(), 0.0);
   std::vector<std::uint8_t> touched(f.keys.size(), 0);
-  const bool saved = simd::enabled();
-  simd::set_enabled(simd_on);
   for (auto _ : state) {
-    simd::gather_relax(f.vof.data(), f.tracer.data(), index.slots(), 0,
-                       f.keys.size(), relaxed.data(), touched.data());
+    amr::gather_relax(f.vof.data(), f.tracer.data(), index.slots(), 0,
+                      f.keys.size(), relaxed.data(), touched.data());
     benchmark::DoNotOptimize(relaxed.data());
     benchmark::ClobberMemory();
   }
-  simd::set_enabled(saved);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * f.keys.size()));
 }
-
-void BM_GatherScalar(benchmark::State& state) {
-  gather_bench_impl(state, false);
-}
-BENCHMARK(BM_GatherScalar);
-
-void BM_GatherSimd(benchmark::State& state) {
-  gather_bench_impl(state, true);
-}
-BENCHMARK(BM_GatherSimd);
+BENCHMARK(BM_Gather);
 
 /// Full face-neighbor-index build (batched Morton decode/encode + moving
 /// hint resolution) — the amortized per-sweep cost the index trades for
@@ -644,8 +629,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg(argv[i]);
     if ((arg == "--json" || arg == "--trace" || arg == "--threads" ||
-         arg == "--node-cache" || arg == "--timeseries" ||
-         arg == "--simd") &&
+         arg == "--node-cache" || arg == "--timeseries") &&
         i + 1 < argc) {
       ++i;  // skip the flag and its value
       continue;

@@ -8,7 +8,7 @@
 // seconds); the validator then parses <json-path> and checks the keys
 // every bench must emit: schema_version, bench, title, scale, device
 // (with the Table 2 latency fields), config (with the measurement thread
-// count, node-cache budget and SIMD state), table.headers / table.rows (row
+// count and node-cache budget), table.headers / table.rows (row
 // width matching the header count) and metrics. Exits non-zero with a
 // message on the first violation.
 #include <cstdio>
@@ -107,8 +107,7 @@ int main(int argc, char** argv) {
   if (config == nullptr) return fail(err);
   if (require(*config, "threads", Value::Type::kNumber, &err) == nullptr ||
       require(*config, "node_cache", Value::Type::kNumber, &err) ==
-          nullptr ||
-      require(*config, "simd", Value::Type::kNumber, &err) == nullptr) {
+          nullptr) {
     return fail("config: " + err);
   }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/timeseries.hpp"
 
@@ -16,42 +15,6 @@ namespace {
 /// the thread count — so the decomposition, and with it every modeled
 /// number, is identical no matter how many workers run the chunks.
 constexpr std::size_t kStencilChunks = 16;
-
-/// Sorted-key lookup from a leaf to its precomputed interface-band mark,
-/// shared by the refine and coarsen predicates. Hinted binary search
-/// rather than a running cursor on purpose: predicate call order is
-/// backend-specific (PM-octree's coarsen descends internal nodes, Etree
-/// re-evaluates a sliding window), so lookups must be idempotent by key
-/// — the hint only exploits the Morton locality of consecutive calls.
-class MarkMap {
- public:
-  MarkMap(const std::vector<std::uint64_t>& keys,
-          const std::vector<std::uint8_t>& marks)
-      : keys_(keys), marks_(marks) {}
-
-  /// Mark of the leaf with anchor key `key` (must be present: predicates
-  /// are only ever called on leaves of the enumeration the marks were
-  /// computed from).
-  bool lookup(std::uint64_t key) const {
-    const std::size_t n = keys_.size();
-    const std::size_t h = hint_ < n ? hint_ : 0;
-    if (keys_[h] == key) return marks_[h] != 0;
-    if (h + 1 < n && keys_[h + 1] == key) {
-      hint_ = h + 1;
-      return marks_[h + 1] != 0;
-    }
-    const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-    PMO_CHECK_MSG(it != keys_.end() && *it == key,
-                  "mark lookup of unknown leaf key");
-    hint_ = static_cast<std::size_t>(it - keys_.begin());
-    return marks_[hint_] != 0;
-  }
-
- private:
-  const std::vector<std::uint64_t>& keys_;
-  const std::vector<std::uint8_t>& marks_;
-  mutable std::size_t hint_ = 0;
-};
 
 }  // namespace
 
@@ -171,21 +134,10 @@ StepStats DropletWorkload::step(MeshBackend& mesh, int step_index,
 
   // 1. Advance the interface and velocity fields (advection proxy):
   // writes concentrate in and around the liquid — the moving hot region.
-  // The post-advect (key, level, vof) triples are harvested on the way
-  // (the sweep enumerates leaves in the same Morton order the refine
-  // collection will): the interface-band test for refine/coarsen then
-  // runs as one vectorized pass over these arrays instead of a scalar
-  // test per predicate call — zero extra modeled traffic.
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint8_t> levels;
-  std::vector<double> vofs;
   std::uint64_t mark = mesh.modeled_ns();
   mesh.sweep_leaves([&](const LocCode& code, CellData& d) {
     const double v = vof_cell(code, t_new);
     const double w = p.jet_speed * v;  // liquid advances toward +z
-    keys.push_back(code.key());
-    levels.push_back(static_cast<std::uint8_t>(code.level()));
-    vofs.push_back(v);
     if (v == d.vof && w == d.w) return false;  // nothing changed: no write
     d.vof = v;
     d.u = 0.0;
@@ -195,68 +147,19 @@ StepStats DropletWorkload::step(MeshBackend& mesh, int step_index,
   });
   out.advect_ns = mesh.modeled_ns() - mark;
 
-  // 2. Refine the interface band; coarsen far-field regions. Both
-  // predicates consume the mark bitmap (simd::mark_interface_band is the
-  // lane-masked form of refine_feature's band test); the PMO_DCHECK
-  // cross-checks every lookup against the direct scalar predicate in
-  // debug builds.
+  // 2. Refine the interface band; coarsen far-field regions.
   mark = mesh.modeled_ns();
-  std::vector<std::uint8_t> marks(keys.size());
-  simd::mark_interface_band(vofs.data(), vofs.size(), 1e-3, marks.data());
-  // Children created by the refine pass, recorded in creation order —
-  // globally Morton-sorted, since parents are split in Morton order and
-  // children are contiguous within the parent octant.
-  std::vector<std::uint64_t> child_keys;
-  std::vector<double> child_vofs;
-  {
-    const MarkMap map(keys, marks);
-    out.refined = mesh.refine_where(
-        [&](const LocCode& code, const CellData& d) {
-          const bool band = map.lookup(code.key());
-          PMO_DCHECK(band == is_interface_cell(d, 1e-3));
-          (void)d;
-          return code.level() < p.max_level && band;
-        },
-        [&](const LocCode& code, CellData& d) {
-          d.vof = vof_cell(code, t_new);
-          child_keys.push_back(code.key());
-          child_vofs.push_back(d.vof);
-        });
-  }
-  // Post-refine leaf enumeration, rebuilt without touching the mesh:
-  // every refined slot expands in place to its 8 recorded children,
-  // everything else carries over. One more mark pass over the merged
-  // vof array feeds the coarsen predicate.
-  std::vector<std::uint64_t> merged_keys;
-  std::vector<double> merged_vofs;
-  merged_keys.reserve(keys.size() + child_keys.size());
-  merged_vofs.reserve(keys.size() + child_vofs.size());
-  std::size_t child_at = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (marks[i] != 0 && levels[i] < p.max_level) {
-      for (int j = 0; j < 8; ++j, ++child_at) {
-        merged_keys.push_back(child_keys[child_at]);
-        merged_vofs.push_back(child_vofs[child_at]);
-      }
-    } else {
-      merged_keys.push_back(keys[i]);
-      merged_vofs.push_back(vofs[i]);
-    }
-  }
-  PMO_DCHECK(child_at == child_keys.size());
-  std::vector<std::uint8_t> merged_marks(merged_keys.size());
-  simd::mark_interface_band(merged_vofs.data(), merged_vofs.size(), 1e-3,
-                            merged_marks.data());
-  {
-    const MarkMap map(merged_keys, merged_marks);
-    out.coarsened = mesh.coarsen_where(
-        [&](const LocCode& code, const CellData& d) {
-          const bool band = map.lookup(code.key());
-          PMO_DCHECK(band == is_interface_cell(d, 1e-3));
-          (void)d;
-          return code.level() > p.min_level && !band;
-        });
-  }
+  out.refined = mesh.refine_where(
+      [&](const LocCode& code, const CellData& d) {
+        return code.level() < p.max_level && refine_feature(code, d);
+      },
+      [&](const LocCode& code, CellData& d) {
+        d.vof = vof_cell(code, t_new);
+      });
+  out.coarsened = mesh.coarsen_where(
+      [&](const LocCode& code, const CellData& d) {
+        return code.level() > p.min_level && !refine_feature(code, d);
+      });
   out.refine_coarsen_ns = mesh.modeled_ns() - mark;
 
   // 3. Enforce 2:1.
@@ -280,17 +183,17 @@ StepStats DropletWorkload::step(MeshBackend& mesh, int step_index,
     if (p.neighbor_index) {
       // Jacobi gather over an SoA leaf snapshot: all 6 neighbor slots
       // per leaf come from the prebuilt index (one batched build, reused
-      // across sweeps and unchanged-topology steps), and the gather
-      // itself is the SIMD kernel — bit-identical to the per-face-find
-      // arm below by the common/simd.hpp determinism contract. Each
-      // chunk writes only its own [begin, end) scratch slots.
+      // across sweeps and unchanged-topology steps). Same face order and
+      // arithmetic as the per-face-find arm below, so the two arms are
+      // bit-identical. Each chunk writes only its own [begin, end)
+      // scratch slots.
       mesh.sweep_leaves_chunked_soa(
           kStencilChunks,
           [&](const SoaLeafChunk& ch) {
             const SoaLeaves& soa = *ch.leaves;
-            simd::gather_relax(soa.vof.data(), soa.tracer.data(),
-                               nbr_index_.slots(), ch.begin, ch.end,
-                               relaxed.data(), touched.data());
+            gather_relax(soa.vof.data(), soa.tracer.data(),
+                         nbr_index_.slots(), ch.begin, ch.end,
+                         relaxed.data(), touched.data());
           },
           exec_,
           [&](const SoaLeaves& soa) {
@@ -311,20 +214,20 @@ StepStats DropletWorkload::step(MeshBackend& mesh, int step_index,
       // (LeafChunk::find; its probe counter is the baseline the index's
       // build_probes are gated against). The loop body is the scalar
       // gather — same face table, same skip test, same accumulation
-      // order as the kernels.
+      // order as gather_relax.
       mesh.sweep_leaves_chunked(
           kStencilChunks,
           [&](const LeafChunk& ch) {
             for (std::size_t i = ch.begin; i < ch.end; ++i) {
               const LocCode& code = ch.codes[i];
               const CellData& d = ch.cells[i];
-              if (simd::gather_skip_cell(d.vof, d.tracer)) continue;
+              if (gather_skip_cell(d.vof, d.tracer)) continue;
               double acc = 0.0;
               int n = 0;
-              for (int f = 0; f < simd::kFaceCount; ++f) {
+              for (int f = 0; f < kFaceCount; ++f) {
                 LocCode ncode;
-                if (!code.neighbor(simd::kFaces[f][0], simd::kFaces[f][1],
-                                   simd::kFaces[f][2], ncode))
+                if (!code.neighbor(kFaces[f][0], kFaces[f][1], kFaces[f][2],
+                                   ncode))
                   continue;
                 if (const CellData* nb = ch.find(ncode)) {
                   acc += nb->tracer;

@@ -74,11 +74,10 @@ using LeafPrepareFn = std::function<void(std::size_t)>;
 
 /// Structure-of-arrays leaf snapshot: the same Morton-sorted leaf
 /// enumeration as the AoS snapshot of sweep_leaves_chunked, split into
-/// parallel key/level/vof/tracer arrays so the solve kernels (the SIMD
-/// gather, the interface-band mark kernel, the face-neighbor-index build)
-/// stream one field at a time — the DRAM-side mirror of the linear cold
-/// tier's packed page layout, which is why the PM backend can fill it
-/// page-wise straight from chains.
+/// parallel key/level/vof/tracer arrays so the solve's gather and
+/// face-neighbor-index build stream one field at a time — the DRAM-side
+/// mirror of the linear cold tier's packed page layout, which is why the
+/// PM backend can fill it page-wise straight from chains.
 struct SoaLeaves {
   std::vector<std::uint64_t> keys;   ///< LocCode::key(), Morton order
   std::vector<std::uint8_t> levels;  ///< LocCode::level()

@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/morton.hpp"
-#include "common/simd.hpp"
 
 namespace pmo::amr {
 
@@ -28,10 +27,34 @@ struct Query {
 
 }  // namespace
 
+void gather_relax(const double* vof, const double* tracer,
+                  const std::int32_t* nbr, std::size_t begin,
+                  std::size_t end, double* relaxed,
+                  std::uint8_t* touched) noexcept {
+  for (std::size_t i = begin; i < end; ++i) {
+    const double v = vof[i];
+    const double t = tracer[i];
+    if (gather_skip_cell(v, t)) continue;
+    double acc = 0.0;
+    int n = 0;
+    const std::int32_t* slots =
+        nbr + static_cast<std::size_t>(kFaceCount) * i;
+    for (int f = 0; f < kFaceCount; ++f) {
+      const std::int32_t s = slots[f];
+      if (s < 0) continue;
+      acc += tracer[static_cast<std::size_t>(s)];
+      ++n;
+    }
+    const double r = n > 0 ? 0.5 * t + 0.5 * (acc / n) : t;
+    relaxed[i] = r + 0.1 * v;
+    touched[i] = 1;
+  }
+}
+
 void FaceNeighborIndex::build(const std::uint64_t* keys,
                               const std::uint8_t* levels, std::size_t n) {
   PMO_DCHECK(n < static_cast<std::size_t>(INT32_MAX) / kFaceCount);
-  slots_.assign(n * static_cast<std::size_t>(simd::kFaceCount), -1);
+  slots_.assign(n * static_cast<std::size_t>(kFaceCount), -1);
   leaves_ = n;
   valid_ = false;  // caller stamps after build
   last_build_probes_ = 0;
@@ -47,11 +70,11 @@ void FaceNeighborIndex::build(const std::uint64_t* keys,
   // through the BMI2 batch kernels. Out-of-domain faces keep slot -1 and
   // produce no query.
   std::vector<Query> queries;
-  queries.reserve(n * static_cast<std::size_t>(simd::kFaceCount));
-  for (int f = 0; f < simd::kFaceCount; ++f) {
-    const int dx = simd::kFaces[f][0];
-    const int dy = simd::kFaces[f][1];
-    const int dz = simd::kFaces[f][2];
+  queries.reserve(n * static_cast<std::size_t>(kFaceCount));
+  for (int f = 0; f < kFaceCount; ++f) {
+    const int dx = kFaces[f][0];
+    const int dy = kFaces[f][1];
+    const int dz = kFaces[f][2];
     for (std::size_t i = 0; i < n; i += kBlock) {
       const std::size_t m = n - i < kBlock ? n - i : kBlock;
       // Finest-grid anchors of leaves i..i+m-1.
@@ -85,7 +108,7 @@ void FaceNeighborIndex::build(const std::uint64_t* keys,
         queries.push_back(
             {nkeys[l],
              static_cast<std::uint32_t>(
-                 (i + l) * static_cast<std::size_t>(simd::kFaceCount) +
+                 (i + l) * static_cast<std::size_t>(kFaceCount) +
                  static_cast<std::size_t>(f)),
              static_cast<std::uint8_t>(levels[i + l])});
       }

@@ -21,6 +21,11 @@
 // face, versus O(log n) for each per-face binary search in the legacy
 // arm. perf_smoke holds the build's total probe count to <= 25% of that
 // baseline's per-sweep find probes.
+//
+// The face table below fixes the slot order of the index and, with it,
+// the accumulation order of gather_relax: that fixed face order plus the
+// fixed chunking of the solve is what keeps the gather's output bits
+// independent of the thread count (DESIGN.md §12).
 #pragma once
 
 #include <cstddef>
@@ -30,6 +35,39 @@
 #include "amr/mesh_backend.hpp"
 
 namespace pmo::amr {
+
+/// Number of face neighbors per octant (the Jacobi stencil width).
+inline constexpr int kFaceCount = 6;
+
+/// Face-neighbor offsets of the solve stencil, in slot order: +x, -x,
+/// +y, -y, +z, -z. The index build, gather_relax and the per-face-find
+/// arm of the solve all walk faces in this order.
+inline constexpr int kFaces[kFaceCount][3] = {
+    {1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}};
+
+/// Gas-cell skip test of the Jacobi gather: cells with no liquid and no
+/// tracer are left untouched.
+inline bool gather_skip_cell(double vof, double tracer) noexcept {
+  return vof <= 0.0 && tracer <= 1e-9;
+}
+
+/// Jacobi gather over an SoA leaf snapshot and a face-neighbor slot
+/// table. For each leaf i in [begin, end):
+///
+///   skip when gather_skip_cell(vof[i], tracer[i]);
+///   acc/n  = sum/count of tracer[nbr[6i+f]] over faces f with nbr >= 0,
+///            accumulated in face order 0..5;
+///   r      = n > 0 ? 0.5*tracer[i] + 0.5*(acc/n) : tracer[i];
+///   relaxed[i] = r + 0.1*vof[i];  touched[i] = 1.
+///
+/// Skipped leaves leave relaxed[i]/touched[i] untouched. `nbr` holds 6
+/// int32 slot indices per leaf (leaf-major), -1 for "no covering leaf"
+/// (domain boundary). Writes only slots in [begin, end), so disjoint
+/// ranges may run concurrently.
+void gather_relax(const double* vof, const double* tracer,
+                  const std::int32_t* nbr, std::size_t begin,
+                  std::size_t end, double* relaxed,
+                  std::uint8_t* touched) noexcept;
 
 class FaceNeighborIndex {
  public:
@@ -58,7 +96,7 @@ class FaceNeighborIndex {
   void invalidate() noexcept { valid_ = false; }
 
   /// 6 slots per leaf, leaf-major: slots()[6*i + f] for face f of leaf i
-  /// (face order simd::kFaces).
+  /// (face order kFaces).
   const std::int32_t* slots() const noexcept { return slots_.data(); }
   std::size_t leaves() const noexcept { return leaves_; }
 

@@ -260,12 +260,11 @@ class ChainView {
   std::uint32_t epoch_ = 0;
 };
 
-/// Batched multi-point locate (the Jacobi-gather entry point): resolves
-/// `n` targets against one chain, stepping all lanes one level per
-/// round so the mask/skip probes of a round touch consecutive SoA arrays
-/// — the memory-access pattern the SIMD gather wants, fed by the batched
-/// BMI2 Morton kernels in common/morton.hpp. Results are identical to
-/// calling locate() per target.
+/// Batched multi-point locate: resolves `n` targets against one chain,
+/// stepping all lanes one level per round so the mask/skip probes of a
+/// round touch consecutive SoA arrays, fed by the batched BMI2 Morton
+/// kernels in common/morton.hpp. Results are identical to calling
+/// locate() per target.
 void batch_locate(const ChainView& view, const LocCode* targets,
                   std::uint32_t* out, std::size_t n);
 

@@ -156,15 +156,16 @@ class PmOctree {
 
   /// Charged SoA leaf extraction: appends every V_i leaf, in the same
   /// Morton (DFS pre-order) enumeration as for_each_leaf, into parallel
-  /// key/level/vof/tracer arrays — the snapshot shape the SIMD solve
-  /// kernels consume. DRAM and node-store leaves go through the normal
-  /// read_node charging; linear-tier chains are streamed page-wise (one
-  /// charge_linear_page per newly touched packed page, records decoded
-  /// in place) instead of per-record synthesis — the modeled cost of
-  /// scanning the packed cold tier sequentially. Cold-tier records are
-  /// not heat-touched by this extraction (a whole-tier scan would
-  /// saturate the access ratio and defeat §3.3's hot/cold separation);
-  /// per-octant reads (sample, for_each_leaf) still are.
+  /// key/level/vof/tracer arrays — the snapshot shape the solve's
+  /// neighbor-index build and gather consume. DRAM and node-store leaves
+  /// go through the normal read_node charging; linear-tier chains are
+  /// streamed page-wise (one charge_linear_page per newly touched packed
+  /// page, records decoded in place) instead of per-record synthesis —
+  /// the modeled cost of scanning the packed cold tier sequentially.
+  /// Cold-tier records are not heat-touched by this extraction (a
+  /// whole-tier scan would saturate the access ratio and defeat §3.3's
+  /// hot/cold separation); per-octant reads (sample, for_each_leaf)
+  /// still are.
   void extract_leaves_soa(std::vector<std::uint64_t>& keys,
                           std::vector<std::uint8_t>& levels,
                           std::vector<double>& vof,

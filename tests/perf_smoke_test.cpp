@@ -18,7 +18,6 @@
 
 #include "amr/droplet.hpp"
 #include "amr/pm_backend.hpp"
-#include "common/simd.hpp"
 #include "pmoctree/api.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -181,9 +180,10 @@ TEST(PerfSmoke, LinearCompactionCutsNvbmLineReadsByAtLeast40Percent) {
 }
 
 // ---------------------------------------------------------------------------
-// Solve-kernel gates (the SIMD/neighbor-index PR): modeled neighbor-lookup
-// work and the SIMD determinism contract on the fig07 droplet
-// configuration (min_level=3, max_level=5, dt=0.12).
+// Solve gates: modeled neighbor-lookup work of the face-neighbor index
+// against the per-face-find arm, and bit-identical fields between the two
+// arms, on the fig07 droplet configuration (min_level=3, max_level=5,
+// dt=0.12).
 // ---------------------------------------------------------------------------
 
 struct SolveOutcome {
@@ -193,14 +193,9 @@ struct SolveOutcome {
   std::uint64_t build_probes = 0;  ///< neighbor-index build inspections
   std::uint64_t builds = 0;
   std::uint64_t reuses = 0;
-  std::uint64_t lines_read = 0;
-  std::uint64_t lines_written = 0;
-  std::uint64_t nvbm_writes = 0;
 };
 
-SolveOutcome run_fig07_droplet(bool neighbor_index, bool simd_on) {
-  const bool saved_simd = simd::enabled();
-  simd::set_enabled(simd_on);
+SolveOutcome run_fig07_droplet(bool neighbor_index) {
   auto& reg = telemetry::Registry::global();
   const std::uint64_t find0 = reg.counter("amr.chunk.find_probes").value();
   const std::uint64_t build0 =
@@ -233,11 +228,6 @@ SolveOutcome run_fig07_droplet(bool neighbor_index, bool simd_on) {
       reg.counter("amr.neighbor.build_probes").value() - build0;
   out.builds = reg.counter("amr.neighbor.builds").value() - builds0;
   out.reuses = reg.counter("amr.neighbor.reuses").value() - reuses0;
-  const auto& ctr = dev.counters();
-  out.lines_read = ctr.lines_read;
-  out.lines_written = ctr.lines_written;
-  out.nvbm_writes = ctr.writes;
-  simd::set_enabled(saved_simd);
   return out;
 }
 
@@ -246,8 +236,8 @@ TEST(PerfSmoke, NeighborIndexCutsSolveLookupWorkTo25Percent) {
   // neighbor-lookup work (index-build candidate inspections) is at most
   // 25% of the per-face LeafChunk::find baseline's probe count — the
   // batched build amortizes one hinted pass across all solver sweeps.
-  const SolveOutcome on = run_fig07_droplet(true, simd::avx2_compiled());
-  const SolveOutcome off = run_fig07_droplet(false, simd::avx2_compiled());
+  const SolveOutcome on = run_fig07_droplet(true);
+  const SolveOutcome off = run_fig07_droplet(false);
 
   ASSERT_GT(off.find_probes, 0u);
   ASSERT_GT(on.builds, 0u);
@@ -270,22 +260,6 @@ TEST(PerfSmoke, NeighborIndexCutsSolveLookupWorkTo25Percent) {
                   static_cast<double>(off.find_probes),
               static_cast<unsigned long long>(on.builds),
               static_cast<unsigned long long>(on.reuses));
-}
-
-TEST(PerfSmoke, SimdToggleIsModeledStateTransparent) {
-  // SIMD on vs off must be wall-clock-only: identical field bits and
-  // identical modeled device traffic (the perf_smoke half of the bench
-  // JSON bit-identity criterion; benchdiff gates the full document).
-  const SolveOutcome simd_on = run_fig07_droplet(true, true);
-  const SolveOutcome simd_off = run_fig07_droplet(true, false);
-
-  EXPECT_EQ(simd_on.leaves, simd_off.leaves);
-  EXPECT_EQ(simd_on.lines_read, simd_off.lines_read);
-  EXPECT_EQ(simd_on.lines_written, simd_off.lines_written);
-  EXPECT_EQ(simd_on.nvbm_writes, simd_off.nvbm_writes);
-  EXPECT_EQ(simd_on.build_probes, simd_off.build_probes);
-  EXPECT_EQ(simd_on.builds, simd_off.builds);
-  EXPECT_EQ(simd_on.reuses, simd_off.reuses);
 }
 
 TEST(PerfSmoke, IncrementalPersistVisitsAtMost10PercentOfNodes) {
