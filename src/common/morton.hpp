@@ -78,9 +78,9 @@ bool morton_bmi2_enabled() noexcept;
 /// Batched Morton kernels over parallel coordinate arrays. Same BMI2 /
 /// portable seam as the scalar fast paths, written as straight-line loops
 /// over SoA inputs so the compiler can keep the PDEP/PEXT (or magic-bits)
-/// pipelines full — the multi-point locate and Jacobi-gather entry points
-/// of the linear cold tier feed these. Bit-identical to calling the scalar
-/// routines per element (held to that by morton_test.cpp).
+/// pipelines full — the solve's face-neighbor index build feeds these.
+/// Bit-identical to calling the scalar routines per element (held to that
+/// by morton_test.cpp).
 void morton_encode3_batch(const std::uint32_t* x, const std::uint32_t* y,
                           const std::uint32_t* z, std::uint64_t* out,
                           std::size_t n) noexcept;
@@ -121,8 +121,7 @@ class LocCode {
   }
 
   /// Reconstruct from a finest-grid Morton key + level pair (the inverse
-  /// of key()/level() — used by the packed linear tier, which stores
-  /// octants as binarized key words instead of LocCode structs).
+  /// of key()/level(), for code that holds octants as bare key words).
   static constexpr LocCode from_key(std::uint64_t key, int level) noexcept {
     PMO_DCHECK(level >= 0 && level <= kMaxLevel);
     return LocCode(key, level);

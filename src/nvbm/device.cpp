@@ -186,7 +186,6 @@ std::size_t Device::drain_spans() {
   if (span_queue_.empty()) return 0;
   std::sort(span_queue_.begin(), span_queue_.end());
   std::size_t spans = 0;
-  std::uint64_t cur_first = span_queue_.front().first;
   std::uint64_t cur_last = span_queue_.front().second;
   for (std::size_t i = 1; i < span_queue_.size(); ++i) {
     const auto [first, last] = span_queue_[i];
@@ -194,7 +193,6 @@ std::size_t Device::drain_spans() {
       cur_last = std::max(cur_last, last);
     } else {
       ++spans;
-      cur_first = first;
       cur_last = last;
     }
   }

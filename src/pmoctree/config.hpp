@@ -48,32 +48,12 @@ struct PmConfig {
   /// traversal cursors — the pure re-descend-from-root baseline.
   std::size_t node_cache_bytes = std::size_t{4} << 20;
 
-  /// Persist-time compaction of cold subtrees into the flat Morton-keyed
-  /// linear tier (DESIGN.md §11): after the merge, maximal subtrees that
-  /// survived a persist unchanged (every node's epoch predates the
-  /// current persist) are rewritten as packed octant pages and the fresh
-  /// parents relinked to NodeRef::linear records. First mutation promotes
-  /// the touched path back to pointer-tier PNodes via the ordinary CoW
-  /// branch. Off = pure pointer tier (the A/B baseline; the persisted
-  /// *logical* content is identical, the physical layout is not).
-  bool linear_compaction = true;
-
-  /// Only compact candidate subtrees with at least this many octants —
-  /// tiny chains fragment the heap without amortizing their page headers.
-  std::size_t compact_min_records = 32;
-
-  /// DRAM budget (bytes) of the linear tier's page-residency cache: a
-  /// record access on a resident page charges a DRAM-side cached read, a
-  /// miss streams the whole page from NVBM and admits it. 0 = every
-  /// record access pays the NVBM streaming charge.
-  std::size_t page_cache_bytes = std::size_t{1} << 20;
-
   /// TEST HOOK (crash injection): when true, persist() returns right
-  /// after the compaction stage — before flush_all() and the root swap —
-  /// emulating a process death mid-compaction with chain pages and parent
-  /// relinks still sitting unflushed in the crash simulator's write
-  /// buffer. The tree object is inconsistent afterwards and must be
-  /// abandoned; only Device::simulate_crash + restore are meaningful.
+  /// after the merge — before flush_all() and the root swap — emulating
+  /// a process death mid-persist with fresh twins and parent relinks
+  /// still sitting unflushed in the crash simulator's write buffer. The
+  /// tree object is inconsistent afterwards and must be abandoned; only
+  /// Device::simulate_crash + restore are meaningful.
   bool crash_before_flush_for_test = false;
 
   /// Keep a remote replica of V_{i-1} and ship deltas at each persist

@@ -20,15 +20,9 @@ struct PNode;
 
 /// Tagged reference to a PM-octree node.
 ///
-/// Encoding: 0 is null; otherwise bit 0 distinguishes pointer-tier NVBM
-/// (1 = heap offset shifted left by one) from the two low-tag-0 modes,
-/// which bit 1 splits: 0b00 = DRAM pointer (PNode* are 8-byte aligned, so
-/// the low 3 bits of a real pointer are 0), 0b10 = linear-tier record:
-/// bits [21:2] hold the record index inside a compacted chain (up to 2^20
-/// records per chain) and bits [63:22] hold the chain's heap payload
-/// offset divided by 8. (Heap payloads sit one 8-byte object header past
-/// a 16-byte-rounded block boundary, so they are 8-aligned, NOT
-/// 16-aligned — the divisor must match the guaranteed alignment.)
+/// Encoding: 0 is null; otherwise bit 0 selects the tier. 1 = NVBM heap
+/// offset shifted left by one; 0 = DRAM pointer (PNode* are 8-byte
+/// aligned, so the low bits of a real pointer are 0).
 class NodeRef {
  public:
   constexpr NodeRef() noexcept = default;
@@ -39,19 +33,12 @@ class NodeRef {
   static constexpr NodeRef nvbm(std::uint64_t offset) noexcept {
     return NodeRef((offset << 1) | 1u);
   }
-  /// Record `index` of the linear chain whose pages start at heap payload
-  /// offset `chain` (8-byte aligned by the heap allocator).
-  static constexpr NodeRef linear(std::uint64_t chain,
-                                  std::uint64_t index) noexcept {
-    return NodeRef(((chain >> 3) << 22) | (index << 2) | 2u);
-  }
 
   constexpr bool null() const noexcept { return bits_ == 0; }
   explicit constexpr operator bool() const noexcept { return bits_ != 0; }
   constexpr bool in_nvbm() const noexcept { return (bits_ & 1u) != 0; }
-  constexpr bool in_linear() const noexcept { return (bits_ & 3u) == 2u; }
   constexpr bool in_dram() const noexcept {
-    return bits_ != 0 && (bits_ & 3u) == 0;
+    return bits_ != 0 && (bits_ & 1u) == 0;
   }
 
   PNode* dram_ptr() const noexcept {
@@ -61,14 +48,6 @@ class NodeRef {
   constexpr std::uint64_t nvbm_offset() const noexcept {
     PMO_DCHECK(in_nvbm());
     return bits_ >> 1;
-  }
-  constexpr std::uint64_t linear_chain() const noexcept {
-    PMO_DCHECK(in_linear());
-    return (bits_ >> 22) << 3;
-  }
-  constexpr std::uint32_t linear_index() const noexcept {
-    PMO_DCHECK(in_linear());
-    return static_cast<std::uint32_t>((bits_ >> 2) & 0xfffffu);
   }
 
   /// Raw tagged bits — this exact word is what gets stored inside

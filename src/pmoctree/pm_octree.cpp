@@ -36,8 +36,7 @@ PmOctree::PmOctree(nvbm::Heap& heap, PmConfig config)
     : heap_(heap),
       config_(config),
       eq1_span_(eq1_span(config.dram_budget_bytes)),
-      cache_(config.node_cache_bytes),
-      page_cache_(config.page_cache_bytes) {
+      cache_(config.node_cache_bytes) {
   // PNodes dominate heap traffic; give their size class the O(1)
   // fast-path free list.
   heap_.reserve_class(kNodeSize);
@@ -62,9 +61,6 @@ PmOctree::PmOctree(nvbm::Heap& heap, PmConfig config)
   tm_.cursor_lca_reuse = &reg.counter("pmoctree.cursor.lca_reuse");
   tm_.persist_visits = &reg.counter("pmoctree.persist.visits");
   tm_.persist_pruned = &reg.counter("pmoctree.persist.pruned_subtrees");
-  tm_.linear_pages = &reg.counter("pmoctree.linear.pages");
-  tm_.linear_promotions = &reg.counter("pmoctree.linear.promotions");
-  tm_.linear_compactions = &reg.counter("pmoctree.linear.compactions");
   registry_ = std::make_shared<SnapshotRegistry>();
   registry_->set_counters(&reg.counter("pmoctree.snapshot.pins"),
                           &reg.counter("pmoctree.snapshot.unpins"));
@@ -170,59 +166,8 @@ PNode PmOctree::read_node(NodeRef ref) {
     touch_heat(node.code, 1.0);
     return node;
   }
-  if (ref.in_linear()) {
-    const PNode node = synth_linear(ref);
-    touch_heat(node.code, 1.0);
-    return node;
-  }
   const PNode node = nv_load(ref.nvbm_offset());
   touch_heat(node.code, 1.0);
-  return node;
-}
-
-void PmOctree::note_chain(std::uint64_t chain, std::uint32_t npages) {
-  chains_.emplace(chain, npages);
-}
-
-void PmOctree::charge_linear_page(std::uint64_t page_off) {
-  if (page_cache_.touch(page_off)) {
-    // Resident page: the record access is DRAM traffic, one line.
-    device().charge_cached_read(config_.cache_line);
-    return;
-  }
-  // Miss: stream the whole page in (and admit it). This is where the
-  // compaction win comes from — one 62-line page read covers 64 octants
-  // where the pointer tier pays ~3 lines per octant, and repeats are
-  // cached reads that never touch nvbm.lines_read again.
-  device().touch_read(page_off, linear::kPageBytes);
-}
-
-PNode PmOctree::synth_linear(NodeRef ref) {
-  const std::uint64_t chain = ref.linear_chain();
-  const std::uint32_t r = ref.linear_index();
-  linear::ChainView view(device(), chain);
-  note_chain(chain, view.pages());
-  charge_linear_page(linear::page_offset(chain, r));
-  PNode node{};
-  node.code = view.code(r);
-  node.data = view.data(r);
-  node.parent = 0;  // synthesized views are parentless; paths carry links
-  node.epoch = view.epoch();
-  const std::uint8_t m = view.mask(r);
-  std::uint32_t c = r + 1;
-  std::uint64_t probed = linear::page_offset(chain, r);
-  for (int j = 0; j < 8; ++j) {
-    if ((m & (1u << j)) == 0) continue;
-    node.set_child(j, NodeRef::linear(chain, c));
-    // The skip probe locating the next sibling may land on a later page;
-    // charge each newly touched page once.
-    const std::uint64_t p = linear::page_offset(chain, c);
-    if (p != probed) {
-      charge_linear_page(p);
-      probed = p;
-    }
-    c += view.skip(c);
-  }
   return node;
 }
 
@@ -475,18 +420,7 @@ bool PmOctree::descend(const LocCode& code, Path& path) {
     cursor_reuse_ += reused;
   }
   if (cur != nullptr) {
-    // Save only the pointer-tier prefix: replaying a linear entry
-    // charge-transparently would redo the whole skip-walk synthesis, so
-    // there is nothing for reuse to save below the first chain record.
-    std::size_t keep = path.size();
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      if (path[i].ref.in_linear()) {
-        keep = i;
-        break;
-      }
-    }
-    cur->path.assign(path.begin(),
-                     path.begin() + static_cast<std::ptrdiff_t>(keep));
+    cur->path = path;
     cur->stamp = epoch_;
     cur->version = structure_version_;
   }
@@ -521,16 +455,11 @@ NodeRef PmOctree::make_mutable(Path& path, std::size_t i) {
     }
     return ref;
   }
-  if (ref.in_nvbm() && path[i].node.epoch == epoch_)
-    return ref;  // private NVBM node
+  if (path[i].node.epoch == epoch_) return ref;  // private NVBM node
 
   // Copy-on-write (Fig. 4): copy this shared octant, then recursively make
   // the parent mutable and relink. The shared original stays untouched for
-  // V_{i-1}. A linear record takes exactly this branch too — its chain is
-  // immutable and shared by construction — which is the promotion path:
-  // the copy is an ordinary pointer-tier PNode whose untouched child slots
-  // keep addressing the chain.
-  if (ref.in_linear()) tm_.linear_promotions->add();
+  // V_{i-1}.
   tm_.cow_copies->add();
   telemetry::trace::instant("pmoctree.cow_copy", "pmoctree",
                             {{"depth", static_cast<double>(i)}});
@@ -636,39 +565,6 @@ void PmOctree::extract_leaves_soa(std::vector<std::uint64_t>& keys,
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.in_linear()) {
-      // Stream the whole packed subtree in one linear scan: records
-      // [r0, r0 + skip(r0)) are its DFS pre-order, which IS the Morton
-      // leaf order the snapshot needs (mask == 0 records are leaves).
-      // Modeled cost: one page charge per touched 3936-byte page — the
-      // sequential-scan price of the cold tier, instead of
-      // per-record synth_linear. No heat touch (see the header comment).
-      const std::uint64_t chain = ref.linear_chain();
-      const std::uint32_t r0 = ref.linear_index();
-      linear::ChainView view(device(), chain);
-      note_chain(chain, view.pages());
-      std::uint64_t probed = ~std::uint64_t{0};
-      const auto touch_page = [&](std::uint32_t rec) {
-        const std::uint64_t p = linear::page_offset(chain, rec);
-        if (p != probed) {
-          charge_linear_page(p);
-          probed = p;
-        }
-      };
-      touch_page(r0);
-      const std::uint32_t rend = r0 + view.skip(r0);
-      for (std::uint32_t r = r0; r < rend; ++r) {
-        touch_page(r);
-        if (view.mask(r) != 0) continue;
-        const LocCode code = view.code(r);
-        const CellData d = view.data(r);
-        keys.push_back(code.key());
-        levels.push_back(static_cast<std::uint8_t>(code.level()));
-        vof.push_back(d.vof);
-        tracer.push_back(d.tracer);
-      }
-      continue;
-    }
     const PNode node = read_node(ref);
     if (node.is_leaf()) {
       keys.push_back(node.code.key());
@@ -836,17 +732,6 @@ void PmOctree::update(const LocCode& code, const CellData& data) {
 
 std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
   if (ref.null()) return 0;
-  if (ref.in_linear()) {
-    // A chain is freed as a unit by GC once nothing references it; an
-    // individual record can be neither freed nor tombstoned. The skip
-    // word IS the subtree's logical octant count — O(1), no recursion.
-    const std::uint64_t chain = ref.linear_chain();
-    const std::uint32_t r = ref.linear_index();
-    linear::ChainView view(device(), chain);
-    note_chain(chain, view.pages());
-    charge_linear_page(linear::page_offset(chain, r));
-    return view.skip(r);
-  }
   if (ref.in_dram()) {
     const PNode node = *ref.dram_ptr();
     std::size_t n = 1;
@@ -1117,7 +1002,6 @@ bool PmOctree::is_balanced() {
 
 NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
   if (ref.null()) return ref;
-  if (ref.in_linear()) return ref;  // already NVBM-resident, shared
   if (ref.in_nvbm()) {
     PNode node = nv_load(ref.nvbm_offset());
     if (node.epoch != epoch_) return ref;  // shared subtree: all NVBM already
@@ -1163,7 +1047,7 @@ NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
   // Fix advisory parent pointers of private (current-epoch) children.
   for (int i = 0; i < kChildrenPerNode; ++i) {
     const NodeRef c = node.child_ref(i);
-    if (!c.in_nvbm()) continue;  // null or linear: nothing to fix
+    if (c.null()) continue;
     PNode child = nv_load(c.nvbm_offset());
     if (child.epoch == epoch_) {
       child.set_parent(nref);
@@ -1196,10 +1080,6 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
                                                 PersistStats& stats,
                                                 std::size_t& changed) {
   if (ref.null()) return {ref, ref, false};
-  // A linear record is part of V_{i-1}'s compacted image and is immutable:
-  // it serves both versions as-is (mutations promote records out of the
-  // chain before ever reaching the merge).
-  if (ref.in_linear()) return {ref, ref, false};
   if (ref.in_nvbm()) {
     ++stats.visits;
     // Merge reads bypass the node cache: one charged device load each.
@@ -1316,16 +1196,6 @@ void PmOctree::collect_census(NodeRef root, SampleCensus& census) {
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.in_linear()) {
-      // Stream the chain's record range (skip(r) = subtree size) through
-      // the same charge-free raw path.
-      linear::ChainView view(device(), ref.linear_chain());
-      const std::uint32_t r0 = ref.linear_index();
-      const std::uint32_t end = r0 + view.skip(r0);
-      for (std::uint32_t r = r0; r < end; ++r)
-        census_add(census, view.code(r), view.data(r), false);
-      continue;
-    }
     PNode node;
     if (ref.in_dram()) {
       node = *ref.dram_ptr();
@@ -1337,126 +1207,6 @@ void PmOctree::collect_census(NodeRef root, SampleCensus& census) {
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// linear-tier compaction (DESIGN.md §11)
-// ---------------------------------------------------------------------------
-
-bool PmOctree::compactable_subtree(NodeRef ref, std::size_t& count) {
-  // Purity walk: the whole subtree must be old pointer-tier NVBM. A fresh
-  // node means the merge rewrote something below (not clean after all); a
-  // linear child means a previous compaction already claimed part of it —
-  // the pointer crown above an existing chain stays pointer-tier forever,
-  // chains never nest. Loads go through nv_load and are charged like any
-  // other read: compaction pays to inspect its candidates.
-  std::vector<std::uint64_t> stack{ref.nvbm_offset()};
-  count = 0;
-  while (!stack.empty()) {
-    const std::uint64_t off = stack.back();
-    stack.pop_back();
-    const PNode node = nv_load(off);
-    if (node.deleted() || node.epoch == epoch_) return false;
-    if (++count > linear::kMaxChainRecords) return false;
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (c.null()) continue;
-      if (!c.in_nvbm()) return false;
-      stack.push_back(c.nvbm_offset());
-    }
-  }
-  return true;
-}
-
-void PmOctree::build_chain_records(NodeRef ref, linear::Builder& b) {
-  // DFS pre-order emission; close() turns emission counts into the skip
-  // (subtree-size) words the rank-select descent walks. Recursion depth
-  // is bounded by the octree depth (<= kMaxLevel), not the record count.
-  const PNode node = nv_load(ref.nvbm_offset());
-  std::uint8_t mask = 0;
-  for (int i = 0; i < kChildrenPerNode; ++i)
-    if (!node.child_ref(i).null()) mask |= static_cast<std::uint8_t>(1u << i);
-  PMO_DCHECK(mask == node.child_mask());
-  const std::size_t idx = b.add(node.code, mask, node.data);
-  for (int i = 0; i < kChildrenPerNode; ++i) {
-    const NodeRef c = node.child_ref(i);
-    if (!c.null()) build_chain_records(c, b);
-  }
-  b.close(idx);
-}
-
-void PmOctree::compact_clean_subtrees(NodeRef new_prev, PersistStats& stats) {
-  // Runs on the coordinator between the merge and flush_all: chain pages
-  // and relinked parents land in the crash-sim write buffer ahead of the
-  // root swap, and the *old* durable root never references a chain. A
-  // crash mid-compaction therefore recovers to a fully pointer-tier
-  // image, a crash after the swap to a fully compacted one — a torn
-  // chain is unreachable either way.
-  if (!new_prev.in_nvbm()) return;
-  if (nv_load(new_prev.nvbm_offset()).epoch != epoch_)
-    return;  // nothing changed this persist: no fresh fringe to walk
-
-  // Reverse twin map: fresh durable offset -> its C0 working copy. A
-  // relinked child slot must update both the sealed image and the
-  // working tree, which stay byte-equal so the next persist can keep
-  // sharing the node.
-  std::unordered_map<std::uint64_t, PNode*> working_of;
-  working_of.reserve(twins_.size());
-  for (const auto& [slot, off] : twins_)
-    working_of.emplace(off, const_cast<PNode*>(slot));
-
-  std::vector<std::uint64_t> stack{new_prev.nvbm_offset()};
-  while (!stack.empty()) {
-    const std::uint64_t poff = stack.back();
-    stack.pop_back();
-    PNode node = nv_load(poff);
-    PNode* wnode = nullptr;
-    if (const auto it = working_of.find(poff); it != working_of.end())
-      wnode = it->second;
-    bool relinked = false;
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (c.null() || !c.in_nvbm()) continue;  // chains are final
-      if (nv_load(c.nvbm_offset()).epoch == epoch_) {
-        stack.push_back(c.nvbm_offset());  // fresh fringe: keep walking
-        continue;
-      }
-      // Old shared child = root of a persisted-and-clean subtree. Skip it
-      // when the working tree holds a DRAM copy (the subtree is C0-hot;
-      // compacting would orphan the working nodes and split the twins).
-      if (wnode != nullptr && !(wnode->child_ref(i) == c)) continue;
-      std::size_t records = 0;
-      if (!compactable_subtree(c, records)) continue;
-      if (records < config_.compact_min_records) continue;
-      linear::Builder b;
-      build_chain_records(c, b);
-      const std::uint64_t chain = heap_.alloc(b.bytes());
-      b.write(device(), chain, epoch_);
-      const std::uint32_t npages = linear::pages_for(records);
-      note_chain(chain, npages);
-      node.set_child(i, NodeRef::linear(chain, 0));
-      relinked = true;
-      ++stats.compacted_subtrees;
-      stats.compacted_records += records;
-      tm_.linear_compactions->add();
-      tm_.linear_pages->add(npages);
-      telemetry::trace::instant(
-          "pmoctree.compact", "pmoctree",
-          {{"records", static_cast<double>(records)},
-           {"pages", static_cast<double>(npages)}});
-      // The superseded pointer nodes stay untouched: V_{i-1} and pinned
-      // readers still descend them. Reachability GC (or the deferred
-      // tombstone pass) reclaims them once no sealed version remains.
-    }
-    if (!relinked) continue;
-    write_back_children(NodeRef::nvbm(poff), node);
-    if (wnode != nullptr) {
-      PNode w = *wnode;
-      for (int i = 0; i < kChildrenPerNode; ++i)
-        if (node.child_ref(i).in_linear()) w.set_child(i, node.child_ref(i));
-      write_back_children(NodeRef::dram(wnode), w);
     }
   }
 }
@@ -1490,16 +1240,8 @@ PersistStats PmOctree::persist() {
                 static_cast<double>(stats.nodes_total);
   stats.delta_bytes = changed * kNodeSize;
 
-  // 1b. Compaction (DESIGN.md §11): rewrite maximal persisted-and-clean
-  //     pointer subtrees hanging off the fresh fringe as packed linear
-  //     chains. Still pre-flush — the chains become durable (and the
-  //     relinks visible) only through the same root swap as the merge.
-  if (config_.linear_compaction) {
-    telemetry::Span compact_span("compact");  // pmoctree.persist.compact
-    compact_clean_subtrees(new_prev, stats);
-  }
-  // Crash-injection hook: die here, with the merge's and compaction's
-  // writes unflushed and the durable root still pointing at V_{i-1}.
+  // Crash-injection hook: die here, with the merge's writes unflushed and
+  // the durable root still pointing at V_{i-1}.
   if (config_.crash_before_flush_for_test) return stats;
 
   // 2. Make everything durable, then atomically swing the persistent root.
@@ -1618,16 +1360,6 @@ void PmOctree::collect_reachable_nvbm(
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.in_linear()) {
-      // A chain is one heap object: mark the whole allocation live and
-      // stop — records reference only records of the same chain.
-      const std::uint64_t chain = ref.linear_chain();
-      if (out.insert(chain).second) {
-        linear::ChainView view(device(), chain);
-        note_chain(chain, view.pages());
-      }
-      continue;
-    }
     if (ref.in_nvbm()) {
       if (!out.insert(ref.nvbm_offset()).second) continue;
     }
@@ -1663,9 +1395,7 @@ std::size_t PmOctree::process_deferred_tombstones(NodeRef new_prev) {
       mark(ref.nvbm_offset(), node);
       for (int i = 0; i < kChildrenPerNode; ++i) {
         const NodeRef c = node.child_ref(i);
-        // Linear children carry no deleted flag — chains are reclaimed
-        // whole by the reachability sweep, never tombstoned per record.
-        if (c.null() || !c.in_nvbm()) continue;
+        if (c.null()) continue;
         if (in_new.count(c.nvbm_offset()) == 0) stack.push_back(c);
       }
     }
@@ -1713,15 +1443,7 @@ std::size_t PmOctree::gc() {
   std::size_t invalidated = 0;
   const std::size_t freed = heap_.sweep([&](std::uint64_t off) {
     const bool is_live = live.count(off) != 0;
-    if (!is_live) {
-      if (cache_.invalidate(off)) ++invalidated;
-      // Freed chains must leave the page-residency cache before the heap
-      // reuses the bytes for something with different charge semantics.
-      if (const auto it = chains_.find(off); it != chains_.end()) {
-        page_cache_.invalidate_chain(off, it->second);
-        chains_.erase(it);
-      }
-    }
+    if (!is_live && cache_.invalidate(off)) ++invalidated;
     return is_live;
   });
   tm_.cache_invalidations->add(invalidated);
@@ -1750,8 +1472,6 @@ void PmOctree::destroy() {
   deferred_tombstones_.clear();
   deferred_nodes_ = 0;
   tm_.cache_invalidations->add(cache_.clear());
-  page_cache_.clear();
-  chains_.clear();
   cursors_.clear();
   ++structure_version_;
   dram_pool_.clear();
@@ -1778,10 +1498,6 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
                           std::size_t node_limit) {
   if (ref.null()) return ref;
   if (*moved >= node_limit) return ref;
-  // Chains stay cold: the transformation never unpacks a chain into C0.
-  // A chain that heats up gets promoted record-by-record through the
-  // ordinary CoW path on its first mutation instead.
-  if (ref.in_linear()) return ref;
   if (ref.in_dram()) {
     charge_dram_read();
     PNode node = *ref.dram_ptr();
@@ -1968,8 +1684,7 @@ void PmOctree::enforce_dram_budget() {
       ++counts[node.code.ancestor_at(lsub)];
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
-      // Linear subtrees hold no DRAM nodes — nothing there to evict.
-      if (!c.null() && !c.in_linear()) stack.push_back(c);
+      if (!c.null()) stack.push_back(c);
     }
   }
   // Evict coldest first (the paper's least-frequently-accessed policy).
@@ -2014,23 +1729,6 @@ PmStats PmOctree::stats() {
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.in_linear()) {
-      // Stream the record range [r, r + skip(r)) instead of descending
-      // node by node — the accounting walk stays charge-free.
-      const std::uint64_t chain = ref.linear_chain();
-      linear::ChainView view(device(), chain);
-      note_chain(chain, view.pages());
-      nvbm_union.insert(chain);
-      const std::uint32_t r0 = ref.linear_index();
-      const std::uint32_t end = r0 + view.skip(r0);
-      for (std::uint32_t r = r0; r < end; ++r) {
-        ++s.nodes;
-        ++s.linear_records;
-        if (view.mask(r) == 0) ++s.leaves;
-        s.depth = std::max(s.depth, view.code(r).level());
-      }
-      continue;
-    }
     const PNode node =
         ref.in_dram() ? *ref.dram_ptr()
                       : nv_load(ref.nvbm_offset());
@@ -2049,20 +1747,8 @@ PmStats PmOctree::stats() {
     }
   }
   collect_reachable_nvbm(prev_root_, nvbm_union);
-  // The union mixes node offsets and chain offsets; chains_ (kept
-  // complete by collect_reachable_nvbm's note_chain) splits them.
-  std::size_t pointer_nodes = 0;
-  for (const std::uint64_t off : nvbm_union) {
-    const auto it = chains_.find(off);
-    if (it == chains_.end()) {
-      ++pointer_nodes;
-      continue;
-    }
-    ++s.linear_chains;
-    s.nvbm_live_bytes += std::uint64_t{it->second} * linear::kPageBytes;
-  }
-  s.unique_physical_nodes = s.dram_nodes + pointer_nodes;
-  s.nvbm_live_bytes += pointer_nodes * kNodeSize;
+  s.unique_physical_nodes = s.dram_nodes + nvbm_union.size();
+  s.nvbm_live_bytes = nvbm_union.size() * kNodeSize;
   s.dram_bytes = dram_bytes();
   depth_ = std::max(depth_, s.depth);
   return s;

@@ -30,7 +30,6 @@
 #include "nvbm/heap.hpp"
 #include "octree/octree.hpp"
 #include "pmoctree/config.hpp"
-#include "pmoctree/linear_tier.hpp"
 #include "pmoctree/node.hpp"
 #include "pmoctree/node_cache.hpp"
 #include "pmoctree/snapshot.hpp"
@@ -60,10 +59,6 @@ struct PersistStats {
   std::size_t visits = 0;
   /// Clean subtrees skipped in O(1) via their durable twin.
   std::size_t pruned_subtrees = 0;
-  /// Cold pointer subtrees rewritten into linear chains this persist.
-  std::size_t compacted_subtrees = 0;
-  /// Octant records packed into those chains.
-  std::size_t compacted_records = 0;
 };
 
 /// Point-in-time structural statistics.
@@ -75,11 +70,6 @@ struct PmStats {
   std::size_t unique_physical_nodes = 0;  ///< union of V_{i-1} and V_i
   std::size_t dram_bytes = 0;
   std::size_t nvbm_live_bytes = 0;
-  /// Octants of V_i resident as packed linear-tier records (a subset of
-  /// `nodes`; nvbm_nodes_vi counts only pointer-tier PNodes).
-  std::size_t linear_records = 0;
-  /// Linear chains reachable from V_i.
-  std::size_t linear_chains = 0;
   int depth = 0;
 };
 
@@ -157,15 +147,8 @@ class PmOctree {
   /// Charged SoA leaf extraction: appends every V_i leaf, in the same
   /// Morton (DFS pre-order) enumeration as for_each_leaf, into parallel
   /// key/level/vof/tracer arrays — the snapshot shape the solve's
-  /// neighbor-index build and gather consume. DRAM and node-store leaves
-  /// go through the normal read_node charging; linear-tier chains are
-  /// streamed page-wise (one charge_linear_page per newly touched packed
-  /// page, records decoded in place) instead of per-record synthesis —
-  /// the modeled cost of scanning the packed cold tier sequentially.
-  /// Cold-tier records are not heat-touched by this extraction (a
-  /// whole-tier scan would saturate the access ratio and defeat §3.3's
-  /// hot/cold separation); per-octant reads (sample, for_each_leaf)
-  /// still are.
+  /// neighbor-index build and gather consume. Every octant goes through
+  /// the normal read_node charging, exactly as for_each_leaf's reads.
   void extract_leaves_soa(std::vector<std::uint64_t>& keys,
                           std::vector<std::uint8_t>& levels,
                           std::vector<double>& vof,
@@ -314,10 +297,6 @@ class PmOctree {
   /// (all zero when config().node_cache_bytes == 0).
   const NodeCache::Stats& node_cache_stats() const noexcept {
     return cache_.stats();
-  }
-  /// Lifetime hit/miss counts of the linear tier's page-residency cache.
-  const linear::PageCache::Stats& page_cache_stats() const noexcept {
-    return page_cache_.stats();
   }
   /// Total path entries served from traversal cursors instead of fresh
   /// descends. Execution-layer telemetry: cursor reuse is modeled-charge
@@ -492,30 +471,6 @@ class PmOctree {
   /// shared subtrees are counted recursively without being freed).
   std::size_t free_subtree(NodeRef ref, bool tombstone_shared);
 
-  // linear cold tier (DESIGN.md §11) ---------------------------------------
-  /// Synthesizes a pointer-tier view of linear record `ref`: code/data
-  /// from the record, children as linear refs into the same chain (via
-  /// the skip walk), parent null, epoch = the chain's build epoch (always
-  /// older than epoch_, so the ordinary CoW branch performs promotion).
-  PNode synth_linear(NodeRef ref);
-  /// Charge model for one record access on the page at `page_off`:
-  /// page-cache hit = one DRAM-side cached line; miss = stream the whole
-  /// page from NVBM and admit it.
-  void charge_linear_page(std::uint64_t page_off);
-  /// Registers a chain for page-cache invalidation + stats (idempotent).
-  void note_chain(std::uint64_t chain, std::uint32_t npages);
-  /// The persist-time compaction stage: walks the freshly merged durable
-  /// tree (new_prev), finds maximal old pure-pointer subtrees, rewrites
-  /// each as one linear chain and relinks both the durable parent and its
-  /// working-tree counterpart. Runs before flush_all(), so a crash before
-  /// the root swap recovers the fully pointer-tier previous version.
-  void compact_clean_subtrees(NodeRef new_prev, PersistStats& stats);
-  /// True when `ref`'s whole subtree is old pointer-tier NVBM (no linear
-  /// refs, no DRAM, no tombstones) and small enough for one chain;
-  /// accumulates the record count.
-  bool compactable_subtree(NodeRef ref, std::size_t& count);
-  /// DFS pre-order emission of the subtree into a chain builder.
-  void build_chain_records(NodeRef ref, linear::Builder& b);
   void note_depth(int level) noexcept {
     if (level > depth_) depth_ = level;
   }
@@ -543,9 +498,6 @@ class PmOctree {
     telemetry::Counter* cursor_lca_reuse;    ///< pmoctree.cursor.lca_reuse
     telemetry::Counter* persist_visits;      ///< pmoctree.persist.visits
     telemetry::Counter* persist_pruned;  ///< pmoctree.persist.pruned_subtrees
-    telemetry::Counter* linear_pages;        ///< pmoctree.linear.pages
-    telemetry::Counter* linear_promotions;   ///< pmoctree.linear.promotions
-    telemetry::Counter* linear_compactions;  ///< pmoctree.linear.compactions
   };
 
   // state --------------------------------------------------------------------
@@ -604,13 +556,6 @@ class PmOctree {
   /// Hot-node cache over NVBM-resident octants (empty when
   /// node_cache_bytes == 0); see node_cache.hpp for the coherence rules.
   NodeCache cache_;
-  /// Page-residency cache of the linear cold tier (charge model only;
-  /// chain bytes are immutable). Empty when page_cache_bytes == 0.
-  linear::PageCache page_cache_;
-  /// Every chain seen by this tree: payload offset -> page count. Feeds
-  /// GC's page-cache invalidation and stats(); rebuilt lazily after
-  /// restore() as chains are first touched.
-  std::unordered_map<std::uint64_t, std::uint32_t> chains_;
   /// Per-exec-context traversal cursors, grown on demand. Safe without
   /// locks: a PmOctree is confined to one logical owner at a time (see
   /// the Device thread-compatibility note), so cursor slots are never

@@ -1,7 +1,5 @@
 #include "pmoctree/replica.hpp"
 
-#include <cstring>
-
 #include "telemetry/trace.hpp"
 
 namespace pmo::pmoctree {
@@ -13,10 +11,8 @@ Delta ReplicaManager::extract(PmOctree& tree) {
                 "replica extraction requires a persisted version");
   delta.root_offset = root.nvbm_offset();
 
-  // Reachable sets of the newly persisted version. Chains are leaves of
-  // the walk: a record references only records of its own chain.
+  // Reachable set of the newly persisted version.
   std::unordered_set<std::uint64_t> now;
-  std::unordered_set<std::uint64_t> now_chains;
   std::vector<std::uint64_t> stack{root.nvbm_offset()};
   auto& dev = tree.device();
   while (!stack.empty()) {
@@ -26,12 +22,7 @@ Delta ReplicaManager::extract(PmOctree& tree) {
     const PNode node = dev.load<PNode>(off);
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
-      if (c.null()) continue;
-      if (c.in_linear()) {
-        now_chains.insert(c.linear_chain());
-        continue;
-      }
-      stack.push_back(c.nvbm_offset());
+      if (!c.null()) stack.push_back(c.nvbm_offset());
     }
   }
 
@@ -44,20 +35,7 @@ Delta ReplicaManager::extract(PmOctree& tree) {
   for (const auto off : known_) {
     if (now.count(off) == 0) delta.removals.push_back(off);
   }
-  // Same diff for chains, as whole immutable blobs.
-  for (const auto chain : now_chains) {
-    if (known_chains_.count(chain) != 0) continue;
-    const linear::ChainView view(dev, chain);
-    const std::uint64_t len = view.bytes();
-    std::vector<std::byte> blob(len);
-    std::memcpy(blob.data(), dev.raw(chain, len), len);
-    delta.chain_upserts.emplace_back(chain, std::move(blob));
-  }
-  for (const auto chain : known_chains_) {
-    if (now_chains.count(chain) == 0) delta.chain_removals.push_back(chain);
-  }
   known_ = std::move(now);
-  known_chains_ = std::move(now_chains);
   return delta;
 }
 
@@ -70,8 +48,6 @@ std::uint64_t ReplicaManager::ship(PmOctree& tree, ReplicaStore& peer) {
 void ReplicaStore::apply(const Delta& delta) {
   for (const auto& [off, node] : delta.upserts) mirror_[off] = node;
   for (const auto off : delta.removals) mirror_.erase(off);
-  for (const auto& [off, blob] : delta.chain_upserts) chains_[off] = blob;
-  for (const auto off : delta.chain_removals) chains_.erase(off);
   root_offset_ = delta.root_offset;
 }
 
@@ -84,30 +60,12 @@ std::size_t ReplicaStore::restore_into(nvbm::Heap& heap) const {
   for (const auto& [old_off, node] : mirror_) {
     relocation[old_off] = heap.alloc(sizeof(PNode));
   }
-  // Chains relocate as whole blobs; linear child refs keep their record
-  // index (the in-chain topology is position-based and unaffected by
-  // where the chain lands in the new heap).
-  std::unordered_map<std::uint64_t, std::uint64_t> chain_relocation;
-  chain_relocation.reserve(chains_.size());
   auto& dev = heap.device();
-  for (const auto& [old_off, blob] : chains_) {
-    const std::uint64_t new_off = heap.alloc(blob.size());
-    chain_relocation[old_off] = new_off;
-    dev.write(new_off, blob.data(), blob.size());
-    dev.flush(new_off, blob.size());
-  }
   for (const auto& [old_off, node] : mirror_) {
     PNode moved = node;
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = moved.child_ref(i);
       if (c.null()) continue;
-      if (c.in_linear()) {
-        const auto it = chain_relocation.find(c.linear_chain());
-        PMO_CHECK_MSG(it != chain_relocation.end(),
-                      "replica mirror misses a referenced chain");
-        moved.set_child(i, NodeRef::linear(it->second, c.linear_index()));
-        continue;
-      }
       const auto it = relocation.find(c.nvbm_offset());
       PMO_CHECK_MSG(it != relocation.end(),
                     "replica mirror misses a referenced octant");

@@ -40,9 +40,7 @@ bool face_slab(const LocCode& code, int f, Box& out) noexcept {
 }  // namespace
 
 Reader::Reader(pmoctree::SnapshotHandle snap, ReaderConfig cfg)
-    : snap_(std::move(snap)),
-      cache_(cfg.cache_bytes),
-      page_cache_(cfg.page_cache_bytes) {
+    : snap_(std::move(snap)), cache_(cfg.cache_bytes) {
   PMO_CHECK_MSG(snap_.valid(),
                 "serve::Reader requires a valid (pinned) SnapshotHandle");
   const auto& dc = snap_.device().config();
@@ -50,8 +48,6 @@ Reader::Reader(pmoctree::SnapshotHandle snap, ReaderConfig cfg)
   read_ns_ = timed ? dc.read_ns : 0;
   dram_read_ns_ = timed ? dc.dram_read_ns : 0;
   lines_per_node_ = (kNodeSize + dc.cache_line - 1) / dc.cache_line;
-  lines_per_page_ =
-      (pmoctree::linear::kPageBytes + dc.cache_line - 1) / dc.cache_line;
   auto& reg = telemetry::Registry::global();
   q_point_ = &reg.counter("serve.queries.point");
   q_box_ = &reg.counter("serve.queries.box");
@@ -99,54 +95,6 @@ pmoctree::PNode Reader::load(std::uint64_t offset) {
   return node;
 }
 
-void Reader::charge_page(std::uint64_t page_off) {
-  if (page_cache_.touch(page_off)) {
-    // Resident page: one DRAM-side line, same as a node-cache hit.
-    ++charges_.cached_loads;
-    charges_.modeled_ns += dram_read_ns_;
-    return;
-  }
-  ++charges_.page_loads;
-  charges_.lines_read += lines_per_page_;
-  charges_.modeled_ns += lines_per_page_ * read_ns_;
-}
-
-pmoctree::PNode Reader::load_linear(pmoctree::NodeRef ref) {
-  namespace lin = pmoctree::linear;
-  const std::uint64_t chain = ref.linear_chain();
-  const std::uint32_t r = ref.linear_index();
-  // ChainView reads through Device::raw only (no counter mutation), so
-  // the concurrent-reader contract holds; the pin keeps the chain bytes
-  // immutable for the memcpy, exactly as with pointer-tier nodes.
-  lin::ChainView view(snap_.device(), chain);
-  charge_page(lin::page_offset(chain, r));
-  pmoctree::PNode node{};
-  node.code = view.code(r);
-  node.data = view.data(r);
-  node.epoch = view.epoch();
-  const std::uint8_t m = view.mask(r);
-  std::uint32_t c = r + 1;
-  std::uint64_t probed = lin::page_offset(chain, r);
-  for (int j = 0; j < 8; ++j) {
-    if ((m & (1u << j)) == 0) continue;
-    node.set_child(j, pmoctree::NodeRef::linear(chain, c));
-    // Skip probes that land on a later page charge each new page once.
-    const std::uint64_t p = lin::page_offset(chain, c);
-    if (p != probed) {
-      charge_page(p);
-      probed = p;
-    }
-    c += view.skip(c);
-  }
-  return node;
-}
-
-pmoctree::PNode Reader::load_ref(pmoctree::NodeRef ref) {
-  PMO_DCHECK(!ref.null());
-  if (ref.in_linear()) return load_linear(ref);
-  return load(ref.nvbm_offset());
-}
-
 pmoctree::PNode Reader::root() { return load(snap_.root_offset()); }
 
 Leaf Reader::locate(const LocCode& code) {
@@ -156,7 +104,7 @@ Leaf Reader::locate(const LocCode& code) {
     const LocCode next = code.ancestor_at(node.code.level() + 1);
     const pmoctree::NodeRef c = node.child_ref(next.child_index());
     if (c.null()) break;  // partial sibling group: this node covers code
-    node = load_ref(c);
+    node = load(c.nvbm_offset());
   }
   return {node.code, node.data};
 }
@@ -169,7 +117,7 @@ std::optional<CellData> Reader::find(const LocCode& code) {
     const LocCode next = code.ancestor_at(node.code.level() + 1);
     const pmoctree::NodeRef c = node.child_ref(next.child_index());
     if (c.null()) return std::nullopt;
-    node = load_ref(c);
+    node = load(c.nvbm_offset());
   }
   if (node.code == code) return node.data;
   return std::nullopt;
@@ -185,26 +133,24 @@ std::size_t Reader::box_walk(const Box& box,
                              const std::function<void(const Leaf&)>& fn) {
   std::size_t n = 0;
   if (!box.intersects(Anchor{}, std::uint32_t{1} << kMaxLevel)) return 0;
-  std::vector<pmoctree::NodeRef> stack{
-      pmoctree::NodeRef::nvbm(snap_.root_offset())};
+  std::vector<std::uint64_t> stack{snap_.root_offset()};
   while (!stack.empty()) {
-    const pmoctree::NodeRef ref = stack.back();
+    const std::uint64_t off = stack.back();
     stack.pop_back();
-    const pmoctree::PNode node = load_ref(ref);
+    const pmoctree::PNode node = load(off);
     if (node.is_leaf()) {
       fn(Leaf{node.code, node.data});
       ++n;
       continue;
     }
     // Children are pruned by their (computable) codes before loading, in
-    // reverse so the pop order is Morton pre-order — deterministic. For
-    // linear children the push is a skip jump: a pruned record range is
-    // never touched (and never charged).
+    // reverse so the pop order is Morton pre-order — deterministic.
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
       const pmoctree::NodeRef c = node.child_ref(i);
       if (c.null()) continue;
       const LocCode cc = node.code.child(i);
-      if (box.intersects(cc.anchor(), cc.extent())) stack.push_back(c);
+      if (box.intersects(cc.anchor(), cc.extent()))
+        stack.push_back(c.nvbm_offset());
     }
   }
   return n;

@@ -321,7 +321,7 @@ struct Parser {
 }  // namespace
 
 std::optional<Value> Value::parse(std::string_view text, std::string* error) {
-  Parser p{text};
+  Parser p{text, 0, {}};
   Value v;
   if (!p.parse_value(v)) {
     if (error != nullptr) *error = p.error;

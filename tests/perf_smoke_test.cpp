@@ -88,97 +88,6 @@ TEST(PerfSmoke, NodeCacheCutsNvbmLineReadsByAtLeast40Percent) {
   EXPECT_EQ(cached.nvbm_writes, uncached.nvbm_writes);
 }
 
-struct CompactOutcome {
-  std::map<std::uint64_t, double> leaves;
-  std::uint64_t sweep_lines_read = 0;  ///< medium traffic of the cold sweeps
-  std::size_t nodes = 0;
-  std::size_t linear_chains = 0;
-  std::size_t linear_records = 0;
-};
-
-CompactOutcome run_droplet_compaction(bool compaction_on) {
-  nvbm::Device dev(std::size_t{128} << 20, {});
-  pmoctree::PmConfig pm;
-  // All-NVBM with a small node cache: the regime where the cold bulk is
-  // re-read from the medium every sweep — what the linear tier is for.
-  // Both arms get identical cache budgets; the off arm simply has no
-  // pages to put in the page cache.
-  pm.dram_budget_bytes = 0;
-  pm.node_cache_bytes = std::size_t{16} << 10;
-  pm.page_cache_bytes = std::size_t{256} << 10;
-  pm.linear_compaction = compaction_on;
-  // The 5%-scale droplet's clean subtrees are a level smaller than the
-  // production default threshold assumes; compact one level earlier.
-  pm.compact_min_records = 8;
-  amr::PmOctreeBackend mesh(dev, pm);
-
-  amr::DropletParams params;
-  params.min_level = 2;
-  params.max_level = 4;
-  params.dt = 0.05;
-  amr::DropletWorkload wl(params);
-  wl.initialize(mesh);
-  for (int s = 0; s < 2; ++s) wl.step(mesh, s);
-
-  // Quiesce: pinpoint updates, one per persist, spread over the mesh.
-  // Each persist freshens one root-to-leaf path, exposing the path's old
-  // clean siblings to the compactor; a few rounds flip the cold bulk of
-  // the tree into packed chains (in the on arm).
-  auto& tree = mesh.tree();
-  std::vector<LocCode> codes;
-  tree.for_each_leaf(
-      [&](const LocCode& c, const CellData&) { codes.push_back(c); });
-  for (int r = 0; r < 8; ++r) {
-    CellData d{};
-    d.vof = 0.5 + 0.01 * r;
-    tree.update(codes[(r * codes.size()) / 8], d);
-    tree.persist();
-  }
-
-  // Cold sweeps: the analytics phase fig07 charges. Only this phase is
-  // gated — the build/quiesce phases are identical in both arms.
-  const std::uint64_t before = dev.counters().lines_read;
-  CompactOutcome out;
-  for (int k = 0; k < 4; ++k) {
-    out.leaves.clear();
-    mesh.visit_leaves([&](const LocCode& c, const CellData& d) {
-      out.leaves[c.key() | (static_cast<std::uint64_t>(c.level()) << 60)] =
-          d.vof;
-    });
-  }
-  out.sweep_lines_read = dev.counters().lines_read - before;
-  const auto s = tree.stats();
-  out.nodes = s.nodes;
-  out.linear_chains = s.linear_chains;
-  out.linear_records = s.linear_records;
-  return out;
-}
-
-TEST(PerfSmoke, LinearCompactionCutsNvbmLineReadsByAtLeast40Percent) {
-  // The flat-tier gate (fig07's compaction claim at 5% scale): reading
-  // persisted-and-clean subtrees as packed pages — a ~62-line stream per
-  // 64 octants where the pointer tier pays ~3 lines per octant, with
-  // repeats served from the page cache — must cut the cold-sweep NVBM
-  // line reads to at most 60% of the pointer-tier baseline. (In practice
-  // the cut is far deeper; 60% is the acceptance bar.)
-  const CompactOutcome on = run_droplet_compaction(true);
-  const CompactOutcome off = run_droplet_compaction(false);
-
-  ASSERT_GT(off.sweep_lines_read, 0u);
-  EXPECT_LE(on.sweep_lines_read * 100, off.sweep_lines_read * 60)
-      << "compaction-on sweep lines_read " << on.sweep_lines_read
-      << " vs off " << off.sweep_lines_read << " (ratio "
-      << (100.0 * static_cast<double>(on.sweep_lines_read) /
-          static_cast<double>(off.sweep_lines_read))
-      << "%)";
-  // The gate must measure a mostly-compacted tree, not a token chain…
-  EXPECT_GT(on.linear_chains, 0u);
-  EXPECT_GE(on.linear_records * 2, on.nodes);
-  // …and the A/B toggle changes layout only, never the mesh.
-  EXPECT_EQ(off.linear_chains, 0u);
-  EXPECT_EQ(on.leaves, off.leaves);
-}
-
 // ---------------------------------------------------------------------------
 // Solve gates: modeled neighbor-lookup work of the face-neighbor index
 // against the per-face-find arm, and bit-identical fields between the two

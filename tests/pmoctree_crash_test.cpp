@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "pmoctree/pm_octree.hpp"
@@ -102,13 +101,16 @@ TEST_P(CrashInjection, RestoreAlwaysYieldsLastPersistedVersion) {
       << "seed " << seed << " survive_p " << survive_p;
 }
 
-TEST_P(CrashInjection, CrashDuringMergeKeepsOldVersion) {
-  const int seed = GetParam();
+/// Persists once, mutates, then dies inside the next persist: after the
+/// merge has written its fresh twins and relinks, before flush_all() and
+/// the root swap. Restore must yield exactly the first persisted version.
+void crash_during_merge(int seed, std::size_t dram_budget_bytes) {
   Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 7);
 
   nvbm::Device dev(64 << 20, crash_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
+  pm.dram_budget_bytes = dram_budget_bytes;
   pm.gc_on_persist = false;
 
   LeafMap persisted;
@@ -119,17 +121,27 @@ TEST_P(CrashInjection, CrashDuringMergeKeepsOldVersion) {
     tree.persist();
     persisted = leaves_of(tree);
     mutate_randomly(tree, rng, 10);
-    // Simulate a crash *inside* the next persist: the merge writes NVBM
-    // nodes but we "die" before the root swap. Emulate by doing the
-    // mutations' writes and crashing now — from the device's perspective
-    // that is indistinguishable from dying mid-merge, since the root swap
-    // is the only fence-protected write.
+    tree.set_crash_before_flush_for_test(true);
+    tree.persist();
   }
   dev.simulate_crash(rng, rng.uniform());
 
   nvbm::Heap heap2(dev);
   auto back = PmOctree::restore(heap2, pm);
-  EXPECT_EQ(leaves_of(back), persisted);
+  EXPECT_EQ(leaves_of(back), persisted) << "seed " << seed;
+}
+
+TEST_P(CrashInjection, CrashDuringMergeKeepsOldVersion) {
+  // Default C0: the whole tree is DRAM-resident, so the dying merge
+  // strands fresh DRAM twins in the write buffer.
+  crash_during_merge(GetParam(), PmConfig{}.dram_budget_bytes);
+}
+
+TEST_P(CrashInjection, CrashDuringAllNvbmMergeKeepsOldVersion) {
+  // No C0: the mutations wrote their CoW copies straight to NVBM and the
+  // merge writes no twins, so what the crash may tear is the unflushed
+  // private NVBM octants the dying persist was about to seal.
+  crash_during_merge(GetParam(), 0);
 }
 
 TEST_P(CrashInjection, RecoveryGcReclaimsOrphans) {
@@ -265,120 +277,6 @@ TEST(CrashInjection, MultiStepCrashRecoverCrashAgain) {
     dev.simulate_crash(rng, rng.uniform());
   }
 }
-
-// ---------------------------------------------------------------------------
-// Mid-compaction crashes (DESIGN.md §11): chain pages and parent relinks
-// are ordinary pre-flush writes, so a crash between the compaction stage
-// and the root swap must recover the previous sealed version byte-exact —
-// and a crash after a compacting persist must recover the fully compacted
-// image with every chain page intact (never torn).
-// ---------------------------------------------------------------------------
-
-/// Walks the restored persisted version and validates every reachable
-/// chain page-by-page; returns the number of distinct chains seen.
-std::size_t validate_reachable_chains(PmOctree& tree) {
-  std::set<std::uint64_t> chains;
-  std::vector<NodeRef> stack{tree.previous_root()};
-  while (!stack.empty()) {
-    const NodeRef ref = stack.back();
-    stack.pop_back();
-    if (ref.null()) continue;
-    if (ref.in_linear()) {
-      const std::uint64_t chain = ref.linear_chain();
-      if (chains.insert(chain).second) {
-        linear::ChainView view(tree.device(), chain);
-        EXPECT_TRUE(view.validate()) << "torn chain at " << chain;
-      }
-      continue;
-    }
-    const PNode node = tree.device().load<PNode>(ref.nvbm_offset());
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
-    }
-  }
-  return chains.size();
-}
-
-class CompactionCrash : public ::testing::TestWithParam<int> {};
-
-TEST_P(CompactionCrash, MidCompactionCrashRecoversPointerTierVersion) {
-  const int seed = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 3);
-
-  nvbm::Device dev(64 << 20, crash_cfg());
-  PmConfig pm;
-  pm.dram_budget_bytes = 0;  // all-NVBM: the compaction-heavy regime
-  pm.compact_min_records = 8;  // small trees here; compact eagerly
-  LeafMap persisted;
-  {
-    nvbm::Heap heap(dev);
-    auto tree = PmOctree::create(heap, pm);
-    tree.refine(LocCode::root());
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      tree.refine(LocCode::root().child(i));
-    mutate_randomly(tree, rng, 20);
-    // P1 seals a fully fresh (pointer-tier) version: no old subtrees yet,
-    // so nothing compacts and the durable root references no chains.
-    const auto p1 = tree.persist();
-    EXPECT_EQ(p1.compacted_subtrees, 0u);
-    persisted = leaves_of(tree);
-    // P2 would compact the now-clean bulk — but dies after the compaction
-    // stage, before flush_all() and the root swap. Chain pages and parent
-    // relinks are stranded in the write buffer.
-    LocCode dirty = LocCode::root();
-    tree.for_each_leaf([&](const LocCode& c, const CellData&) { dirty = c; });
-    tree.update(dirty, cell(0.25));
-    tree.set_crash_before_flush_for_test(true);
-    tree.persist();
-  }
-  dev.simulate_crash(rng, rng.uniform());
-
-  nvbm::Heap heap2(dev);
-  auto back = PmOctree::restore(heap2, pm);
-  EXPECT_EQ(leaves_of(back), persisted) << "seed " << seed;
-  // Recovery landed on the pre-compaction version: fully pointer-tier.
-  EXPECT_EQ(validate_reachable_chains(back), 0u);
-}
-
-TEST_P(CompactionCrash, PostSwapCrashRecoversFullyCompactedVersion) {
-  const int seed = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed) * 12289 + 11);
-
-  nvbm::Device dev(64 << 20, crash_cfg());
-  PmConfig pm;
-  pm.dram_budget_bytes = 0;
-  pm.compact_min_records = 8;  // small trees here; compact eagerly
-  LeafMap persisted;
-  {
-    nvbm::Heap heap(dev);
-    auto tree = PmOctree::create(heap, pm);
-    tree.refine(LocCode::root());
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      tree.refine(LocCode::root().child(i));
-    mutate_randomly(tree, rng, 20);
-    tree.persist();
-    // P2 compacts the clean bulk and completes its root swap; the crash
-    // hits afterwards, with the post-persist mutations still in flight.
-    LocCode dirty = LocCode::root();
-    tree.for_each_leaf([&](const LocCode& c, const CellData&) { dirty = c; });
-    tree.update(dirty, cell(0.75));
-    const auto p2 = tree.persist();
-    ASSERT_GT(p2.compacted_subtrees, 0u) << "test must exercise chains";
-    persisted = leaves_of(tree);
-    mutate_randomly(tree, rng, 10);  // lost work the crash may eat
-  }
-  dev.simulate_crash(rng, rng.uniform());
-
-  nvbm::Heap heap2(dev);
-  auto back = PmOctree::restore(heap2, pm);
-  EXPECT_EQ(leaves_of(back), persisted) << "seed " << seed;
-  // Recovery landed on the compacted version: chains reachable and every
-  // page intact — a torn page would fail validate() (or the magic check).
-  EXPECT_GT(validate_reachable_chains(back), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CompactionCrash, ::testing::Range(0, 8));
 
 TEST(CrashInjection, NothingPersistedMeansNothingRestorable) {
   Rng rng(9);

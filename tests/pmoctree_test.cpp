@@ -284,12 +284,11 @@ TEST(PmOctree, ChildMaskMatchesSlotScanUnderRandomOps) {
   // Differential check of the PNode::flags child-presence bitmask: after a
   // random op mix under memory pressure (DRAM twins, CoW'd NVBM nodes and
   // persist merges all exercised), every reachable node's cached mask must
-  // equal a scan of its child slots. The mask feeds is_leaf(), traversal
-  // and the linear-tier Builder, so a single stale bit here corrupts
-  // downstream structures silently.
+  // equal a scan of its child slots. The mask feeds is_leaf() and
+  // traversal, so a single stale bit here corrupts downstream structures
+  // silently.
   Fixture fx;
   fx.config.dram_budget_bytes = 24 * sizeof(PNode);
-  fx.config.compact_min_records = 8;
   auto tree = PmOctree::create(fx.heap, fx.config);
   Rng rng(20260808);
   for (int s = 0; s < 120; ++s) {
@@ -321,8 +320,7 @@ TEST(PmOctree, ChildMaskMatchesSlotScanUnderRandomOps) {
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.null() || ref.in_linear()) continue;  // chains carry their own
-                                                  // masks, checked at build
+    if (ref.null()) continue;
     const PNode node = ref.in_dram()
                            ? *ref.dram_ptr()
                            : fx.device.load<PNode>(ref.nvbm_offset());
