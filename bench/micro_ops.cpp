@@ -211,13 +211,13 @@ void BM_PersistIncremental(benchmark::State& state) {
 BENCHMARK(BM_PersistIncremental)->Iterations(50);
 
 void BM_DeviceFlushCoalesced(benchmark::State& state) {
-  // Flush-queue coalescing: `stride` controls dirty-line adjacency. With
+  // Flush-span coalescing: `stride` controls written-line adjacency. With
   // stride=64 the per-iteration writes form one contiguous extent that
   // flush_all retires as a single span; stride=4096 leaves 64 scattered
   // extents. flush_spans telemetry (JSON counters) shows the ratio;
   // modeled write cost is identical — coalescing is flush-path-only.
   nvbm::Config cfg = bench::device_config();
-  cfg.crash_sim = true;  // track dirty lines + the span queue
+  cfg.crash_sim = true;  // track dirty lines beside the written-line bitmap
   nvbm::Device dev(16 << 20, cfg);
   const std::uint64_t stride = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t v = 42;

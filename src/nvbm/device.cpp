@@ -1,26 +1,73 @@
 #include "nvbm/device.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <utility>
 
 #include "common/timing.hpp"
 #include "telemetry/trace.hpp"
 
 namespace pmo::nvbm {
 
+namespace {
+
+/// Calls fn(w, mask) for each 64-line bitmap word overlapping lines
+/// [first, last]; `mask` selects the lines of the range within word w.
+template <typename Fn>
+void for_each_word(std::uint64_t first, std::uint64_t last, Fn&& fn) {
+  for (std::uint64_t w = first >> 6; w <= last >> 6; ++w) {
+    const std::uint64_t lo = w == first >> 6 ? first & 63 : 0;
+    const std::uint64_t hi = w == last >> 6 ? last & 63 : 63;
+    fn(w, (~std::uint64_t{0} << lo) & (~std::uint64_t{0} >> (63 - hi)));
+  }
+}
+
+}  // namespace
+
+Device::LazyZeroed::LazyZeroed(std::size_t bytes) : bytes_(bytes) {
+  data_ = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  PMO_CHECK_MSG(data_ != MAP_FAILED,
+                "NVBM device mapping of " << bytes_ << " bytes failed");
+}
+
+Device::LazyZeroed::LazyZeroed(LazyZeroed&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      bytes_(std::exchange(other.bytes_, 0)) {}
+
+Device::LazyZeroed& Device::LazyZeroed::operator=(
+    LazyZeroed&& other) noexcept {
+  std::swap(data_, other.data_);
+  std::swap(bytes_, other.bytes_);
+  return *this;
+}
+
+Device::LazyZeroed::~LazyZeroed() {
+  if (data_ != nullptr) munmap(data_, bytes_);
+}
+
+void Device::LazyZeroed::zero() noexcept {
+  if (data_ != nullptr && madvise(data_, bytes_, MADV_DONTNEED) != 0)
+    std::memset(data_, 0, bytes_);
+}
+
 Device::Device(std::size_t capacity, Config config)
     : capacity_(capacity), config_(config) {
   PMO_CHECK_MSG(capacity > 0, "device capacity must be positive");
   PMO_CHECK_MSG((config_.cache_line & (config_.cache_line - 1)) == 0,
                 "cache line size must be a power of two");
-  working_.resize(capacity_);
+  lines_ = (capacity_ + config_.cache_line - 1) / config_.cache_line;
+  const std::size_t bitmap_bytes = (lines_ + 63) / 64 * sizeof(std::uint64_t);
+  working_ = LazyZeroed(capacity_);
+  written_ = LazyZeroed(bitmap_bytes);
   if (config_.crash_sim) {
-    durable_.resize(capacity_);
-    const std::size_t lines =
-        (capacity_ + config_.cache_line - 1) / config_.cache_line;
-    dirty_words_.resize((lines + 63) / 64, 0);
+    durable_ = LazyZeroed(capacity_);
+    dirty_ = LazyZeroed(bitmap_bytes);
   }
-  if (config_.track_wear)
-    wear_.resize((capacity_ + config_.cache_line - 1) / config_.cache_line);
+  if (config_.track_wear) wear_ = LazyZeroed(lines_ * sizeof(std::uint32_t));
 }
 
 std::size_t Device::line_span(std::uint64_t offset,
@@ -65,18 +112,6 @@ void Device::mark_dirty(std::uint64_t offset, std::size_t len) {
   if (len == 0) return;
   const std::uint64_t first = offset / config_.cache_line;
   const std::uint64_t last = (offset + len - 1) / config_.cache_line;
-  // Range-merging flush queue: a store contiguous with (or overlapping)
-  // the previous one extends the tail entry instead of appending. The
-  // allocator/CoW layer writes in rising-offset bursts, so most stores
-  // collapse into the tail entry here and flush_all()'s sort/merge pass
-  // sees a short queue.
-  if (!span_queue_.empty() && first <= span_queue_.back().second + 1 &&
-      last + 1 >= span_queue_.back().first) {
-    span_queue_.back().first = std::min(span_queue_.back().first, first);
-    span_queue_.back().second = std::max(span_queue_.back().second, last);
-  } else {
-    span_queue_.emplace_back(first, last);
-  }
   for (std::uint64_t line = first; line <= last; ++line) {
     const std::size_t b = std::min<std::size_t>(
         static_cast<std::size_t>(line * config_.cache_line * kWearBuckets /
@@ -84,18 +119,19 @@ void Device::mark_dirty(std::uint64_t offset, std::size_t len) {
         kWearBuckets - 1);
     ++wear_buckets_[b];
   }
-  if (config_.crash_sim) {
-    for (std::uint64_t line = first; line <= last; ++line) {
-      const std::uint64_t mask = std::uint64_t{1} << (line & 63);
-      std::uint64_t& word = dirty_words_[line >> 6];
-      if ((word & mask) == 0) {
-        word |= mask;
-        ++dirty_count_;
-      }
+  auto* written = written_.as<std::uint64_t>();
+  auto* dirty = dirty_.as<std::uint64_t>();
+  for_each_word(first, last, [&](std::uint64_t w, std::uint64_t mask) {
+    if (written[w] == 0) touched_words_.push_back(w);
+    written[w] |= mask;
+    if (config_.crash_sim) {
+      dirty_count_ += static_cast<std::size_t>(std::popcount(mask & ~dirty[w]));
+      dirty[w] |= mask;
     }
-  }
+  });
   if (config_.track_wear) {
-    for (std::uint64_t line = first; line <= last; ++line) ++wear_[line];
+    auto* wear = wear_.as<std::uint32_t>();
+    for (std::uint64_t line = first; line <= last; ++line) ++wear[line];
   }
 }
 
@@ -105,7 +141,7 @@ void Device::read(std::uint64_t offset, void* dst, std::size_t len) {
   ++counters_.reads;
   counters_.bytes_read += len;
   charge_read(line_span(offset, len));
-  std::memcpy(dst, working_.data() + offset, len);
+  std::memcpy(dst, working_.as<std::byte>() + offset, len);
 }
 
 void Device::write(std::uint64_t offset, const void* src, std::size_t len) {
@@ -115,14 +151,14 @@ void Device::write(std::uint64_t offset, const void* src, std::size_t len) {
   counters_.bytes_written += len;
   charge_write(line_span(offset, len));
   mark_dirty(offset, len);
-  std::memcpy(working_.data() + offset, src, len);
+  std::memcpy(working_.as<std::byte>() + offset, src, len);
 }
 
 std::byte* Device::raw(std::uint64_t offset, std::size_t len) {
   PMO_CHECK_MSG(offset + len <= capacity_,
                 "NVBM raw access out of range: off=" << offset
                                                      << " len=" << len);
-  return working_.data() + offset;
+  return working_.as<std::byte>() + offset;
 }
 
 void Device::touch_read(std::uint64_t offset, std::size_t len) {
@@ -160,52 +196,80 @@ void Device::evict_line(std::uint64_t line) {
   const std::uint64_t begin = line * config_.cache_line;
   const std::size_t n =
       std::min<std::size_t>(config_.cache_line, capacity_ - begin);
-  std::memcpy(durable_.data() + begin, working_.data() + begin, n);
+  std::memcpy(durable_.as<std::byte>() + begin,
+              working_.as<std::byte>() + begin, n);
+}
+
+void Device::restore_line(std::uint64_t line) {
+  const std::uint64_t begin = line * config_.cache_line;
+  const std::size_t n =
+      std::min<std::size_t>(config_.cache_line, capacity_ - begin);
+  std::memcpy(working_.as<std::byte>() + begin,
+              durable_.as<std::byte>() + begin, n);
 }
 
 void Device::flush(std::uint64_t offset, std::size_t len) {
+  PMO_CHECK_MSG(offset + len <= capacity_,
+                "NVBM flush out of range: off=" << offset << " len=" << len);
   ++counters_.flushes;
   if (!config_.crash_sim || len == 0) return;
-  const std::uint64_t first = offset / config_.cache_line;
-  const std::uint64_t last =
-      std::min<std::uint64_t>((offset + len - 1) / config_.cache_line,
-                              capacity_ / config_.cache_line);
-  for (std::uint64_t line = first; line <= last; ++line) {
-    const std::uint64_t mask = std::uint64_t{1} << (line & 63);
-    std::uint64_t& word = dirty_words_[line >> 6];
-    if ((word & mask) == 0) continue;
-    evict_line(line);
-    word &= ~mask;
-    --dirty_count_;
-  }
+  auto* dirty = dirty_.as<std::uint64_t>();
+  for_each_word(offset / config_.cache_line,
+                (offset + len - 1) / config_.cache_line,
+                [&](std::uint64_t w, std::uint64_t mask) {
+                  std::uint64_t hit = dirty[w] & mask;
+                  if (hit == 0) return;
+                  dirty[w] &= ~mask;
+                  dirty_count_ -= static_cast<std::size_t>(std::popcount(hit));
+                  for (; hit != 0; hit &= hit - 1)
+                    evict_line(w * 64 + static_cast<unsigned>(
+                                            std::countr_zero(hit)));
+                });
 }
 
 void Device::persist_barrier() { ++counters_.barriers; }
 
-std::size_t Device::drain_spans() {
-  if (span_queue_.empty()) return 0;
-  std::sort(span_queue_.begin(), span_queue_.end());
-  std::size_t spans = 0;
-  std::uint64_t cur_last = span_queue_.front().second;
-  for (std::size_t i = 1; i < span_queue_.size(); ++i) {
-    const auto [first, last] = span_queue_[i];
-    if (first <= cur_last + 1) {
-      cur_last = std::max(cur_last, last);
-    } else {
-      ++spans;
-      cur_last = last;
-    }
+std::size_t Device::written_runs() const noexcept {
+  const auto* written = written_.as<std::uint64_t>();
+  std::size_t runs = 0;
+  std::uint64_t carry = 0;  // bit 63 of the previous word, if adjacent
+  std::uint64_t next = 0;   // the word index that `carry` belongs before
+  for (const std::uint64_t w : touched_words_) {
+    const std::uint64_t word = written[w];
+    if (w != next) carry = 0;
+    // A run starts at a set bit whose previous line is clear.
+    runs += static_cast<std::size_t>(
+        std::popcount(word & ~((word << 1) | carry)));
+    carry = word >> 63;
+    next = w + 1;
   }
-  ++spans;
-  span_queue_.clear();
-  return spans;
+  return runs;
+}
+
+void Device::forget_written() noexcept {
+  auto* written = written_.as<std::uint64_t>();
+  for (const std::uint64_t w : touched_words_) written[w] = 0;
+  touched_words_.clear();
+}
+
+template <typename Fn>
+void Device::drain_dirty(Fn&& fn) {
+  auto* dirty = dirty_.as<std::uint64_t>();
+  for (const std::uint64_t w : touched_words_) {
+    for (std::uint64_t word = std::exchange(dirty[w], 0); word != 0;
+         word &= word - 1)
+      fn(w * 64 + static_cast<unsigned>(std::countr_zero(word)));
+  }
+  dirty_count_ = 0;
 }
 
 void Device::flush_all() {
   ++counters_.flushes;
-  counters_.flush_spans += drain_spans();
-  if (!config_.crash_sim) return;
-  drain_dirty([this](std::uint64_t line) { evict_line(line); });
+  std::sort(touched_words_.begin(), touched_words_.end());
+  counters_.flush_spans += written_runs();
+  if (config_.crash_sim)
+    drain_dirty([this](std::uint64_t line) { evict_line(line); });
+  forget_written();
 }
 
 std::size_t Device::simulate_crash(Rng& rng, double survive_p) {
@@ -214,18 +278,19 @@ std::size_t Device::simulate_crash(Rng& rng, double survive_p) {
   const std::size_t dirty_at_crash = dirty_count_;
   std::size_t lost = 0;
   // Ascending line order: each dirty line independently either reached
-  // the medium (spontaneous eviction) or is lost.
+  // the medium (spontaneous eviction) or is lost, and the reboot reloads
+  // it from the medium. Every other line already equals its durable copy.
+  std::sort(touched_words_.begin(), touched_words_.end());
   drain_dirty([&](std::uint64_t line) {
     if (rng.chance(survive_p)) {
       evict_line(line);
     } else {
+      restore_line(line);
       ++lost;
     }
   });
-  // Reboot: the CPU-visible image is whatever the medium holds, and any
-  // queued (never-issued) flush extents died with the cache.
-  span_queue_.clear();
-  std::memcpy(working_.data(), durable_.data(), capacity_);
+  // Flush extents that were never issued died with the cache.
+  forget_written();
   telemetry::trace::audit(
       "nvbm.crash", {{"dirty_lines", static_cast<double>(dirty_at_crash)},
                      {"lost_lines", static_cast<double>(lost)}});
@@ -282,17 +347,19 @@ telemetry::json::Value Device::wear_heatmap_json() const {
 }
 
 std::uint64_t Device::max_wear() const noexcept {
-  if (wear_.empty()) return 0;
-  return *std::max_element(wear_.begin(), wear_.end());
+  if (!config_.track_wear) return 0;
+  const auto* wear = wear_.as<std::uint32_t>();
+  return *std::max_element(wear, wear + lines_);
 }
 
 double Device::mean_wear() const noexcept {
-  if (wear_.empty()) return 0.0;
+  if (!config_.track_wear) return 0.0;
+  const auto* wear = wear_.as<std::uint32_t>();
   std::uint64_t sum = 0;
   std::uint64_t touched = 0;
-  for (const auto w : wear_) {
-    if (w > 0) {
-      sum += w;
+  for (std::size_t line = 0; line < lines_; ++line) {
+    if (wear[line] > 0) {
+      sum += wear[line];
       ++touched;
     }
   }

@@ -15,16 +15,19 @@
 //  * read/write accounting and per-line wear counters, used to reproduce
 //    the paper's NVBM-write-reduction results (Fig. 11) and endurance
 //    discussion.
+//
+// The emulation costs the host what a run touches, not the capacity: the
+// working and durable images, the line bitmaps and the wear counters are
+// anonymous mappings committed page by page on first touch, and the
+// persist-point bookkeeping visits only the bitmap words written since
+// the last flush_all().
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -64,9 +67,9 @@ struct Counters {
   std::uint64_t flushes = 0;        ///< explicit persist (clflush) calls
   std::uint64_t barriers = 0;       ///< persist_barrier (sfence) calls
   /// Coalesced write-back extents issued by flush_all(): one per maximal
-  /// run of contiguous dirty lines (the range-merging flush queue). The
-  /// per-line modeled cost is unchanged — this counts how many flush
-  /// *instructions* a range-flushing persist path would issue.
+  /// run of contiguous lines written since the previous flush_all() (or
+  /// crash). The per-line modeled cost is unchanged — this counts how
+  /// many flush *instructions* a range-flushing persist path would issue.
   std::uint64_t flush_spans = 0;
   std::uint64_t modeled_read_ns = 0;
   std::uint64_t modeled_write_ns = 0;
@@ -118,7 +121,7 @@ class Device {
   /// Test-only semantics; a real device cannot un-wear.
   void reset_all() noexcept {
     reset_counters();
-    std::fill(wear_.begin(), wear_.end(), 0u);
+    wear_.zero();
     wear_buckets_.fill(0);
   }
 
@@ -147,7 +150,9 @@ class Device {
   /// Direct pointer into the working image. Accesses through this pointer
   /// bypass latency accounting; callers must pair it with touch_read /
   /// touch_write to keep the model honest. Used by the node accessor layer
-  /// to avoid double memcpy on hot paths.
+  /// to avoid double memcpy on hot paths. A store through it must be
+  /// announced with touch_write: simulate_crash() rolls back only the
+  /// lines that write()/touch_write() marked dirty.
   std::byte* raw(std::uint64_t offset, std::size_t len);
 
   /// Accounting-only variants used together with raw().
@@ -171,11 +176,6 @@ class Device {
   void flush_all();
   /// Number of dirty (written, unflushed) cache lines.
   std::size_t dirty_lines() const noexcept { return dirty_count_; }
-  /// Entries currently in the range-merging flush queue (pre-coalesce;
-  /// adjacent stores already merge on append). Test/diagnostic hook.
-  std::size_t pending_flush_spans() const noexcept {
-    return span_queue_.size();
-  }
 
   /// Simulated power failure + reboot: every dirty line independently
   /// either reached the medium or is lost (probability `survive_p` each);
@@ -207,46 +207,66 @@ class Device {
   void publish(telemetry::Registry& reg, const std::string& prefix) const;
 
  private:
+  /// Zero-initialized memory committed page by page on first touch: an
+  /// anonymous private mapping, unmapped on destruction. Untouched pages
+  /// read as zero and cost no host memory. Move-only.
+  class LazyZeroed {
+   public:
+    LazyZeroed() = default;
+    explicit LazyZeroed(std::size_t bytes);
+    LazyZeroed(LazyZeroed&& other) noexcept;
+    LazyZeroed& operator=(LazyZeroed&& other) noexcept;
+    ~LazyZeroed();
+
+    template <typename T>
+    T* as() const noexcept {
+      return static_cast<T*>(data_);
+    }
+    /// Returns the committed pages to the kernel, so the range reads as
+    /// zero again without being written.
+    void zero() noexcept;
+
+   private:
+    void* data_ = nullptr;
+    std::size_t bytes_ = 0;
+  };
+
   void charge_read(std::size_t lines);
   void charge_write(std::size_t lines);
   std::size_t line_span(std::uint64_t offset, std::size_t len) const noexcept;
   void mark_dirty(std::uint64_t offset, std::size_t len);
-  /// Coalesces the queued write extents into maximal contiguous line
-  /// runs, clears the queue, and returns the run count.
-  std::size_t drain_spans();
+  /// Maximal runs of set bits in the written bitmap, carried across
+  /// adjacent words. Requires touched_words_ sorted.
+  std::size_t written_runs() const noexcept;
+  /// Clears the written bitmap and the touched-word list.
+  void forget_written() noexcept;
   /// Copies line `line` of the working image to the durable image.
   void evict_line(std::uint64_t line);
-  /// Invokes fn(line) for every dirty line in ascending order, then
-  /// clears the bitmap. The hot loop of flush_all / simulate_crash.
+  /// Copies line `line` of the durable image back to the working image.
+  void restore_line(std::uint64_t line);
+  /// Invokes fn(line) for every dirty line in ascending order, then clears
+  /// the dirty bitmap. Visits only the touched words, which must be
+  /// sorted: every dirty line was written since the last flush_all().
   template <typename Fn>
-  void drain_dirty(Fn&& fn) {
-    for (std::size_t w = 0; w < dirty_words_.size(); ++w) {
-      std::uint64_t word = dirty_words_[w];
-      while (word != 0) {
-        const int bit = std::countr_zero(word);
-        word &= word - 1;
-        fn(static_cast<std::uint64_t>(w) * 64 + static_cast<unsigned>(bit));
-      }
-      dirty_words_[w] = 0;
-    }
-    dirty_count_ = 0;
-  }
+  void drain_dirty(Fn&& fn);
 
   std::size_t capacity_;
   Config config_;
-  std::vector<std::byte> working_;
-  std::vector<std::byte> durable_;  ///< only when crash_sim
-  /// Line-granular dirty bitmap (one bit per cache line, only when
-  /// crash_sim): mark_dirty is a test-and-set per line, far cheaper than
-  /// the hash-set insert it replaces on the store-heavy write path.
-  std::vector<std::uint64_t> dirty_words_;
+  std::size_t lines_ = 0;  ///< cache lines; the last may be partial
+  LazyZeroed working_;
+  LazyZeroed durable_;  ///< only when crash_sim
+  /// Line bitmaps, one bit per cache line in 64-line words. `written_`
+  /// holds the lines stored to since the last flush_all() or crash (the
+  /// source of flush_spans); `dirty_` (only when crash_sim) the subset
+  /// not yet flushed, so explicit flush() clears only `dirty_`.
+  LazyZeroed written_;
+  LazyZeroed dirty_;
+  /// Indices of the `written_` words that went from zero to non-zero
+  /// since the last flush_all() or crash; each enters once, unsorted.
+  std::vector<std::uint64_t> touched_words_;
   std::size_t dirty_count_ = 0;
-  std::vector<std::uint32_t> wear_;          ///< only when track_wear
+  LazyZeroed wear_;  ///< u32 per line, only when track_wear
   std::array<std::uint64_t, kWearBuckets> wear_buckets_{};
-  /// Range-merging flush queue: [first_line, last_line] extents appended
-  /// by mark_dirty (a store contiguous with the previous one extends the
-  /// tail entry in place). flush_all() coalesces and drains it.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> span_queue_;
   Counters counters_;
 };
 

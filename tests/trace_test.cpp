@@ -273,7 +273,12 @@ std::string run_deterministic_workload() {
         // Distinct timestamps everywhere: ties would fall back to emit
         // order, which *is* scheduling-dependent.
         ev.ts_ns = static_cast<std::uint64_t>(t * 1000 + i);
-        ev.name = "t" + std::to_string(t) + "e" + std::to_string(i);
+        // Appended rather than concatenated: GCC 12 -O3 misreports
+        // `"t" + std::to_string(t) + ...` under -Wrestrict.
+        ev.name = "t";
+        ev.name += std::to_string(t);
+        ev.name += 'e';
+        ev.name += std::to_string(i);
         ev.cat = "test";
         emit(std::move(ev));
       }
