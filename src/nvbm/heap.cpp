@@ -63,8 +63,6 @@ void Heap::attach() {
         device_.flush(at, sizeof(oh));
       }
       free_lists_[rounded(oh.payload_size)].push_back(payload);
-      free_bytes_ += oh.payload_size;
-      ++free_objects_;
     }
     at = next;
   }
@@ -118,8 +116,6 @@ std::uint64_t Heap::alloc(std::size_t size) {
     ObjHeader oh{static_cast<std::uint32_t>(size), kAllocatedFlag};
     device_.store(hdr_off, oh);
     device_.flush(hdr_off, sizeof(oh));
-    free_bytes_ -= klass;  // approximation: stored rounded on free
-    --free_objects_;
     return payload;
   }
 
@@ -153,8 +149,6 @@ void Heap::free(std::uint64_t payload_offset) {
   } else {
     free_lists_[klass].push_back(payload_offset);
   }
-  free_bytes_ += klass;
-  ++free_objects_;
 }
 
 std::uint32_t Heap::payload_size(std::uint64_t payload_offset) {

@@ -24,8 +24,9 @@ namespace pmo::nvbm {
 /// Index of a named durable root slot.
 inline constexpr int kMaxRoots = 16;
 
-/// Statistics of heap occupancy. GC does not read them: the PM-octree
-/// collects at every persist, not at an occupancy threshold.
+/// Statistics of heap occupancy, recounted by walking every object header.
+/// Reclamation does not read them: the PM-octree frees what each persist
+/// superseded, not at an occupancy threshold.
 struct HeapStats {
   std::uint64_t capacity = 0;
   std::uint64_t high_water = 0;    ///< top of ever-allocated region
@@ -81,9 +82,10 @@ class Heap {
   void for_each_object(
       const std::function<void(std::uint64_t, std::uint32_t, bool)>& fn);
 
-  /// Frees every allocated object for which `live` returns false. Returns
-  /// the number of objects reclaimed. This is the sweep half of the
-  /// PM-octree mark-and-sweep collector.
+  /// Frees, in ascending offset order, every allocated object for which
+  /// `live` returns false. Returns the number of objects reclaimed. Used
+  /// to wipe the heap (PmOctree::create and destroy) and as the sweep of
+  /// PmOctree::gc, the full collector recovery runs.
   std::size_t sweep(const std::function<bool(std::uint64_t)>& live);
 
   HeapStats stats();
@@ -124,8 +126,6 @@ class Heap {
   // Fast path for the one size class that dominates (see reserve_class).
   std::size_t fast_klass_ = 0;
   std::vector<std::uint64_t> fast_list_;
-  std::uint64_t free_bytes_ = 0;
-  std::uint64_t free_objects_ = 0;
 };
 
 /// Typed persistent pointer: a 64-bit offset into a Heap's device. Offset

@@ -31,7 +31,10 @@ struct PmConfig {
   /// Master switch for dynamic layout transformation (Fig. 11 ablation).
   bool enable_transform = true;
 
-  /// Run mark-and-sweep GC at the end of every pm_persistent().
+  /// At the end of every pm_persistent(), free the NVBM octants that only
+  /// superseded versions held (the retire list; the full gc() on the
+  /// first persist after a restore). When false, persist only tombstones
+  /// them and reclaiming is left to explicit gc() calls.
   bool gc_on_persist = true;
 
   /// DRAM access latencies used for modeled-time accounting (Table 2).

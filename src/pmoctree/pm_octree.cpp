@@ -126,6 +126,9 @@ PmOctree PmOctree::restore(nvbm::Heap& heap, PmConfig config) {
   tree.registry_->publish(root_off,
                           static_cast<std::uint32_t>(heap.root(kEpochSlot)),
                           tree.logical_nodes_);
+  // Whatever the lost working version allocated is unreachable and was
+  // never retired: the first persist reclaims it with a full gc().
+  tree.recovery_gc_due_ = true;
   // Depth is re-learned lazily; seed it from the persisted root's subtree
   // on first stats() call. Keep 0 here to stay O(1).
   return tree;
@@ -304,7 +307,10 @@ void PmOctree::free_node(NodeRef ref) {
   PMO_DCHECK(!ref.null());
   ++structure_version_;
   if (ref.in_dram()) {
-    twins_.erase(ref.dram_ptr());
+    if (const auto it = twins_.find(ref.dram_ptr()); it != twins_.end()) {
+      retire(it->second, 0);
+      twins_.erase(it);
+    }
     dram_free_.push_back(ref.dram_ptr());
     --dram_node_count_;
     return;
@@ -463,6 +469,7 @@ NodeRef PmOctree::make_mutable(Path& path, std::size_t i) {
   tm_.cow_copies->add();
   telemetry::trace::instant("pmoctree.cow_copy", "pmoctree",
                             {{"depth", static_cast<double>(i)}});
+  retire(ref.nvbm_offset(), path[i].node.epoch);
   NodeRef parent_ref;
   if (i > 0) parent_ref = make_mutable(path, i - 1);
 
@@ -749,11 +756,10 @@ std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
     return n;
   }
   // Shared with V_{i-1}: may not be freed or mutated structurally. Mark the
-  // subtree root as deleted (tombstone); GC reclaims it once the version
-  // that references it is superseded (§3.2, Deletion). The children are
-  // recursed with tombstoning off purely to COUNT the logical octants
-  // leaving V_i (a shared node's descendants are all shared, so nothing
-  // below is freed either).
+  // subtree root as deleted (tombstone) and retire every shared node; they
+  // are reclaimed once the versions that reference them are superseded
+  // (§3.2, Deletion). The children are recursed with tombstoning off.
+  retire(ref.nvbm_offset(), node.epoch);
   std::size_t n = 1;
   for (int i = 0; i < kChildrenPerNode; ++i)
     n += free_subtree(node.child_ref(i), /*tombstone_shared=*/false);
@@ -763,7 +769,7 @@ std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
       // Epoch-based reclamation: a pinned reader may be traversing this
       // shared node right now, so the kNodeDeleted flip must not be
       // written under it. Defer the mark; it is drained by the next
-      // pin-free persist and subsumed entirely by gc().
+      // pin-free persist and subsumed by any reclamation.
       deferred_tombstones_.push_back(ref.nvbm_offset());
     } else {
       node.flags |= kNodeDeleted;
@@ -1036,7 +1042,8 @@ NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
       match &= twin.child[i] == node.child[i];
     if (match) {
       tm_.twin_reuse->add();
-      free_node(ref);  // also drops the twins_ entry
+      twins_.erase(it);  // the twin rejoins the tree: nothing to retire
+      free_node(ref);
       ++(*moved);
       return NodeRef::nvbm(twin_off);
     }
@@ -1167,18 +1174,18 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
   if (working_relink) charge_dram_write();
   // Visited: the summary bit has served its purpose for this epoch.
   ptr->flags &= ~kNodeSubtreeDirty;
-  if (!dirty && !child_changed) {
-    if (const auto it = twins_.find(ptr); it != twins_.end()) {
-      tm_.twin_reuse->add();
-      return {ref, NodeRef::nvbm(it->second), false};  // reuse: shared
-    }
+  const auto twin = twins_.find(ptr);
+  if (!dirty && !child_changed && twin != twins_.end()) {
+    tm_.twin_reuse->add();
+    return {ref, NodeRef::nvbm(twin->second), false};  // reuse
   }
   // Write a fresh durable twin; the old one (if any) still belongs to
-  // V_{i-1} and is reclaimed by GC once that version is superseded.
+  // V_{i-1}, so it is retired.
   twin_content.epoch = epoch_;
   twin_content.set_parent(NodeRef{});  // advisory; fixed by the parent
   const std::uint64_t off = heap_.alloc(kNodeSize);
   nv_store(off, twin_content);
+  if (twin != twins_.end()) retire(twin->second, 0);
   twins_[ptr] = off;
   ++stats.merged_from_dram;
   ++changed;
@@ -1264,13 +1271,13 @@ PersistStats PmOctree::persist() {
        {"pruned_subtrees", static_cast<double>(stats.pruned_subtrees)}});
 
   // 3. Tombstone octants that existed only in the superseded version.
-  //    When GC runs right away it reclaims them directly, so the explicit
+  //    Under gc_on_persist step 4 reclaims them directly, so the explicit
   //    marking pass is only needed for deferred collection. Epoch-based
   //    reclamation: while ANY snapshot pin is live the marking is
   //    deferred — flipping kNodeDeleted writes into bytes a pinned
   //    reader may be memcpy-ing concurrently. The superseded root is
   //    retired instead and the whole backlog drains at the next pin-free
-  //    persist (gc() subsumes it by reachability).
+  //    persist (a reclamation subsumes it).
   if (!config_.gc_on_persist) {
     if (!old_prev.null() && !(old_prev == new_prev)) {
       retired_roots_.emplace_back(epoch_, old_prev);
@@ -1291,10 +1298,11 @@ PersistStats PmOctree::persist() {
   // letting the epoch stamp expire it wholesale.
   cache_.restamp(epoch_ - 1, epoch_);
 
-  // 4. Reclaim superseded octants (GC is never run *during* the merge).
+  // 4. Free what the superseded versions alone held (never *during* the
+  //    merge): the retire list, or the full collector after a restore.
   if (config_.gc_on_persist) {
     telemetry::Span gc_span("gc");  // pmoctree.persist.gc
-    stats.gc_freed = gc();
+    stats.gc_freed = recovery_gc_due_ ? gc() : reclaim_retired();
   }
 
   // 5. Decay heat and re-layout hot subtrees (the paper triggers dynamic
@@ -1433,9 +1441,10 @@ std::size_t PmOctree::gc() {
   if (deferred_nodes_ > deferred_hwm_) deferred_hwm_ = deferred_nodes_;
   // Reachability subsumes tombstone marking: everything the deferred
   // lists point at is either reclaimed by this sweep or still reachable
-  // from a root (and a later gc picks it up once it no longer is).
+  // from a root (and a later reclamation picks it up once it no longer is).
   retired_roots_.clear();
   deferred_tombstones_.clear();
+  recovery_gc_due_ = false;
   // The sweep frees offsets behind the node accessor's back and the heap
   // may hand them out again within this epoch — invalidate exactly the
   // swept offsets so the surviving working set keeps its hit rate across
@@ -1446,13 +1455,74 @@ std::size_t PmOctree::gc() {
     if (!is_live && cache_.invalidate(off)) ++invalidated;
     return is_live;
   });
+  // Retired offsets the sweep kept are held by a pin: they stay listed,
+  // under their tags, for the persist that outlives the pin.
+  std::erase_if(retired_, [&](const Retired& r) {
+    return live.count(r.offset) == 0;
+  });
+  note_reclaimed(freed, invalidated);
+  return freed;
+}
+
+std::size_t PmOctree::reclaim_retired() {
+  // A retired octant belongs to the sealed versions [born, sealed] only,
+  // so it is garbage unless a pinned epoch falls in that range. That is
+  // the pin-only set a full gc() keeps, except that an eviction copy
+  // stamped with an older epoch than its own may be kept longer.
+  const auto pinned = registry_->pinned_roots();  // ascending by epoch
+  const auto newest_pin_upto = [&](std::uint32_t e) -> std::uint32_t {
+    const auto it = std::upper_bound(
+        pinned.begin(), pinned.end(), e,
+        [](std::uint32_t v, const auto& p) { return v < p.first; });
+    return it == pinned.begin() ? 0 : std::prev(it)->first;
+  };
+  // A twin is retired unread. Its stamp matters only when a pin is older
+  // than the tag: read it then (a charged load), once.
+  if (!pinned.empty()) {
+    for (Retired& r : retired_) {
+      const std::uint32_t pin = newest_pin_upto(r.sealed);
+      if (r.born == 0 && pin != 0 && pin < r.sealed) {
+        r.born = device().load<std::uint32_t>(r.offset +
+                                              offsetof(PNode, epoch));
+      }
+    }
+  }
+  const auto held = std::partition(
+      retired_.begin(), retired_.end(), [&](const Retired& r) {
+        const std::uint32_t pin = newest_pin_upto(r.sealed);
+        return pin == 0 || pin < r.born;
+      });
+  // Ascending offsets, the order the heap sweep frees in, so the free
+  // lists and every later allocation match a full gc() exactly.
+  std::sort(retired_.begin(), held, [](const Retired& a, const Retired& b) {
+    return a.offset < b.offset;
+  });
+  std::size_t invalidated = 0;
+  for (auto it = retired_.begin(); it != held; ++it) {
+    if (cache_.invalidate(it->offset)) ++invalidated;
+    heap_.free(it->offset);
+  }
+  const auto freed = static_cast<std::size_t>(held - retired_.begin());
+  retired_.erase(retired_.begin(), held);
+  // An empty list (the usual case, with nothing pinned) gives its
+  // capacity back, so peak memory follows the entries in flight.
+  if (retired_.empty()) retired_.shrink_to_fit();
+  deferred_nodes_ = retired_.size();
+  if (deferred_nodes_ > deferred_hwm_) deferred_hwm_ = deferred_nodes_;
+  // Every deferred tombstone is retired as well: the list subsumes them.
+  retired_roots_.clear();
+  deferred_tombstones_.clear();
+  note_reclaimed(freed, invalidated);
+  return freed;
+}
+
+void PmOctree::note_reclaimed(std::size_t freed, std::size_t invalidated) {
   tm_.cache_invalidations->add(invalidated);
   ++structure_version_;
   tm_.gc_sweeps->add();
   tm_.gc_freed->add(freed);
   telemetry::trace::instant("pmoctree.gc", "pmoctree",
                             {{"freed", static_cast<double>(freed)}});
-  return freed;
 }
 
 SnapshotHandle PmOctree::pin_snapshot() {
@@ -1470,6 +1540,7 @@ void PmOctree::destroy() {
   registry_->publish(0, 0, 0);
   retired_roots_.clear();
   deferred_tombstones_.clear();
+  retired_.clear();
   deferred_nodes_ = 0;
   tm_.cache_invalidations->add(cache_.clear());
   cursors_.clear();

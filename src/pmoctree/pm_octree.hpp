@@ -190,14 +190,17 @@ class PmOctree {
   // ---- persistence & versioning -------------------------------------------
 
   /// pm_persistent: merge C0 into C1, make V_i durable, atomically swap the
-  /// persistent root, tombstone the superseded version, optionally GC, and
-  /// run the dynamic layout transformation.
+  /// persistent root, reclaim what the superseded version alone held
+  /// (tombstones, or the retire list under gc_on_persist), and run the
+  /// dynamic layout transformation.
   PersistStats persist();
 
-  /// Mark-and-sweep garbage collection: frees every NVBM node unreachable
-  /// from both roots AND from every pinned snapshot (epoch-based
-  /// reclamation — see snapshot.hpp). Returns the number of octants
-  /// reclaimed.
+  /// Full mark-and-sweep: frees every NVBM object unreachable from both
+  /// roots AND from every pinned snapshot (epoch-based reclamation — see
+  /// snapshot.hpp). The recovery collector: it reclaims what a crash or
+  /// an abandoned working version stranded, which no retire list saw.
+  /// restore() schedules it for the first persist; callers may run it
+  /// earlier. Returns the number of objects reclaimed.
   std::size_t gc();
 
   // ---- snapshot pinning & epoch-based reclamation --------------------------
@@ -205,7 +208,8 @@ class PmOctree {
   /// Pins the latest durable version (the epoch sealed by the last
   /// persist()) and returns a refcounted handle onto it. While any handle
   /// on an epoch lives, every node reachable from that version keeps its
-  /// bytes: gc() treats the pinned root as live, and tombstone marking
+  /// bytes: persist() frees no retired octant that version reaches, gc()
+  /// treats the pinned root as live, and tombstone marking
   /// (persist step 3, shared-subtree removal) is deferred so the mutator
   /// never writes into bytes a pinned reader may be reading. Pinning and
   /// releasing are safe from any thread; everything else on this class
@@ -215,8 +219,9 @@ class PmOctree {
   std::size_t pinned_epochs() const noexcept {
     return registry_->pin_count();
   }
-  /// Nodes the last gc() kept alive solely because a pinned snapshot
-  /// could still reach them (0 when nothing is pinned).
+  /// Nodes the last reclamation (persist or gc()) kept alive solely
+  /// because a pinned snapshot could still reach them (0 when nothing is
+  /// pinned).
   std::size_t deferred_reclaim_nodes() const noexcept {
     return deferred_nodes_;
   }
@@ -470,6 +475,17 @@ class PmOctree {
   /// Returns the number of logical octants removed from V_i (tombstoned
   /// shared subtrees are counted recursively without being freed).
   std::size_t free_subtree(NodeRef ref, bool tombstone_shared);
+  /// Records an NVBM offset that just left the working tree while a
+  /// sealed version may still reference it; `born` is the epoch stamped
+  /// in the octant, or 0 when the caller has not read it (twins).
+  void retire(std::uint64_t offset, std::uint32_t born) {
+    retired_.push_back({born, epoch_ - 1, offset});
+  }
+  /// Frees, in ascending offset order, every retired offset no pinned
+  /// version can reach. Returns the number freed.
+  std::size_t reclaim_retired();
+  /// Telemetry shared by both reclamation paths.
+  void note_reclaimed(std::size_t freed, std::size_t invalidated);
 
   void note_depth(int level) noexcept {
     if (level > depth_) depth_ = level;
@@ -528,10 +544,28 @@ class PmOctree {
   /// subsumes tombstone marking).
   std::vector<std::pair<std::uint32_t, NodeRef>> retired_roots_;
   /// Shared-node tombstones deferred by remove()/coarsen() while pins
-  /// were live. Offsets stay valid until the next gc(), which clears the
-  /// list — only gc() ever frees shared nodes.
+  /// were live. Offsets stay valid until the next reclamation, which
+  /// clears the list: every one of them is retired too, so only a
+  /// reclamation ever frees shared nodes.
   std::vector<std::uint64_t> deferred_tombstones_;
-  std::size_t deferred_nodes_ = 0;  ///< kept alive only by pins, last gc
+  /// Retire list: NVBM offsets that left the working tree while a sealed
+  /// version may still reference them — CoW originals, the shared nodes
+  /// a removal walks, the twins of dropped DRAM octants and the twins a
+  /// merge replaced. Each is tagged with the version the previous persist
+  /// sealed when it was retired: the working version never reaches it
+  /// again and no later version does. No version older than the epoch
+  /// stamped in the octant does either, so only a pin within
+  /// [born, sealed] keeps it. `born` is 0 until read for a twin.
+  struct Retired {
+    std::uint32_t born;
+    std::uint32_t sealed;
+    std::uint64_t offset;
+  };
+  std::vector<Retired> retired_;
+  /// Set by restore(): the first persist runs the full gc() to reclaim
+  /// what the lost working version stranded. Cleared by gc().
+  bool recovery_gc_due_ = false;
+  std::size_t deferred_nodes_ = 0;  ///< kept only by pins, last reclamation
   std::size_t deferred_hwm_ = 0;
   std::uint32_t epoch_ = 1;
   int depth_ = 0;

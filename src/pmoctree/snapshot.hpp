@@ -5,8 +5,10 @@
 // can traverse it while the mutator keeps refining and persisting. The
 // pin set feeds epoch-based reclamation inside PmOctree:
 //
-//  * gc() adds every pinned root's reachable set to the live set, so no
-//    node a reader can still reach is ever freed or reused;
+//  * persist() frees a retired octant only once no pin is on a version
+//    that held it, and gc() adds every pinned root's reachable set to
+//    its live set, so no node a reader can still reach is ever freed or
+//    reused;
 //  * tombstone marking (persist step 3 and shared-subtree removal) is
 //    deferred while any pin is live, because flipping kNodeDeleted on a
 //    shared node is a write into bytes a reader may be memcpy-ing.
@@ -105,7 +107,8 @@ class SnapshotRegistry {
   }
 
   /// (epoch, root) of every pinned version, ascending by epoch — the
-  /// deterministic iteration order gc()'s live-set walk relies on.
+  /// deterministic iteration order gc()'s live-set walk relies on, and
+  /// the sorted order persist()'s retire-list check searches.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> pinned_roots() const {
     std::lock_guard lk(mu_);
     std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
@@ -154,8 +157,8 @@ class SnapshotRegistry {
 /// Refcounted pin on one persisted epoch. Obtained from
 /// PmOctree::pin_snapshot(); copyable (shares the pin), movable. While
 /// any handle on an epoch is alive, every node reachable from that
-/// epoch's root keeps its bytes: GC will not free it and the mutator will
-/// not tombstone it. Handles may be released from any thread; the
+/// epoch's root keeps its bytes: no reclamation frees it and the mutator
+/// will not tombstone it. Handles may be released from any thread; the
 /// underlying device must outlive every handle.
 class SnapshotHandle {
  public:

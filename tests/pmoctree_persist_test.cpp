@@ -1,8 +1,11 @@
 // Versioning and persistence semantics: copy-on-write isolation between
-// V_{i-1} and V_i, overlap accounting, GC, restore.
+// V_{i-1} and V_i, overlap accounting, reclamation, restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "pmoctree/pm_octree.hpp"
@@ -288,6 +291,204 @@ TEST(Persist, DeltaBytesTracksChangedNodes) {
   const auto stats = tree.persist();
   // Changed: child 3 and root (path copy) => 2 nodes.
   EXPECT_EQ(stats.delta_bytes, 2 * sizeof(PNode));
+}
+
+// ---------------------------------------------------------------------------
+// Reclamation: persist frees from the retire list; the full gc() is the
+// oracle. After a persist with no pin live, gc() must find nothing left.
+// ---------------------------------------------------------------------------
+
+/// NVBM objects reachable from V_i and the working tree.
+std::uint64_t reachable_objects(PmOctree& tree) {
+  return tree.stats().nvbm_live_bytes / sizeof(PNode);
+}
+
+std::map<std::uint64_t, double> snapshot_pinned(PmOctree& tree,
+                                                const SnapshotHandle& snap) {
+  std::map<std::uint64_t, double> out;
+  tree.for_each_leaf_snapshot(snap, [&](const LocCode& c, const CellData& d) {
+    out[c.key() | (static_cast<std::uint64_t>(c.level()) << 60)] = d.vof;
+  });
+  return out;
+}
+
+/// One random refine / coarsen / update / remove. Refines go through
+/// refine_where so the C0 budget is enforced (evictions) afterwards.
+void mutate_once(PmOctree& tree, Rng& rng) {
+  std::vector<LocCode> leaves;
+  tree.for_each_leaf(
+      [&](const LocCode& c, const CellData&) { leaves.push_back(c); });
+  const LocCode victim =
+      leaves[static_cast<std::size_t>(rng.below(leaves.size()))];
+  switch (rng.below(4)) {
+    case 0:
+      if (victim.level() < 4) {
+        tree.refine_where(
+            [&](const LocCode& c, const CellData&) { return c == victim; },
+            [&](const LocCode&, CellData& d) { d.vof = rng.uniform(); });
+      }
+      break;
+    case 1:
+      if (victim.level() > 0) {
+        bool all_leaves = true;
+        for (int i = 0; i < kChildrenPerNode; ++i)
+          all_leaves &= tree.is_leaf(victim.parent().child(i));
+        if (all_leaves) tree.coarsen(victim.parent());
+      }
+      break;
+    case 2:
+      tree.update(victim, cell(rng.uniform()));
+      break;
+    default:
+      // Removing the parent drops a whole (often shared) subtree.
+      if (victim.level() > 1) tree.remove(victim.parent());
+      break;
+  }
+}
+
+class RetireList : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RetireList, PersistFreesExactlyWhatGcWould) {
+  std::size_t held_by_pins = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 7907 + GetParam());
+    PmConfig pm;
+    pm.dram_budget_bytes = GetParam();
+    pm.enable_transform = true;
+    Fixture fx(pm);
+    auto tree = PmOctree::create(fx.heap, pm);
+    // Hot cells drive the layout transformation at every persist.
+    tree.register_feature(
+        [](const LocCode&, const CellData& d) { return d.vof > 0.5; });
+    tree.refine_where([](const LocCode& c, const CellData&) {
+      return c.level() < 2;
+    });
+    tree.persist();
+
+    std::vector<std::pair<SnapshotHandle, std::map<std::uint64_t, double>>>
+        pins;
+    for (int round = 0; round < 32; ++round) {
+      for (int op = 0; op < 8; ++op) mutate_once(tree, rng);
+      if (rng.below(3) == 0) {
+        auto snap = tree.pin_snapshot();
+        auto leaves = snapshot_pinned(tree, snap);
+        pins.emplace_back(std::move(snap), std::move(leaves));
+      }
+      if (!pins.empty() && rng.below(3) == 0) {
+        pins.erase(pins.begin() +
+                   static_cast<std::ptrdiff_t>(rng.below(pins.size())));
+      }
+      tree.persist();
+      for (const auto& [snap, leaves] : pins) {
+        ASSERT_EQ(snapshot_pinned(tree, snap), leaves)
+            << "seed " << seed << " round " << round << " epoch "
+            << snap.epoch();
+      }
+      if (pins.empty()) {
+        ASSERT_EQ(fx.heap.stats().live_objects, reachable_objects(tree))
+            << "seed " << seed << " round " << round;
+        ASSERT_EQ(tree.gc(), 0u) << "seed " << seed << " round " << round;
+      }
+    }
+    held_by_pins =
+        std::max(held_by_pins, tree.deferred_reclaim_high_water());
+    pins.clear();
+    tree.persist();
+    EXPECT_EQ(tree.deferred_reclaim_nodes(), 0u);
+    EXPECT_EQ(tree.gc(), 0u) << "seed " << seed;
+    EXPECT_EQ(fx.heap.stats().live_objects, reachable_objects(tree));
+  }
+  EXPECT_GT(held_by_pins, 0u) << "no pin ever held a retired octant back";
+}
+
+INSTANTIATE_TEST_SUITE_P(Budgets, RetireList,
+                         ::testing::Values(std::size_t{0},
+                                           16 * sizeof(PNode),
+                                           PmConfig{}.dram_budget_bytes));
+
+TEST(RetireList, StaleEpochEvictionCopyIsReclaimed) {
+  // Evicting a clean DRAM octant whose children changed allocates a new
+  // NVBM copy that keeps the octant's old epoch. The copy was never part
+  // of a sealed version, yet it looks shared: a later copy-on-write
+  // through it must retire it, or it leaks.
+  PmConfig pm;
+  pm.dram_budget_bytes = 16 * sizeof(PNode);
+  Fixture fx(pm);
+  auto tree = PmOctree::create(fx.heap, pm);
+  const LocCode c0 = LocCode::root().child(0);
+  tree.refine(LocCode::root());
+  tree.refine(c0);  // 17 DRAM octants: one past the budget
+  tree.persist();   // every octant gets a durable twin
+
+  tree.update(c0.child(1), cell(0.5));  // c0 stays clean, a child changes
+  for (int i = 1; i < kChildrenPerNode; ++i) {
+    for (int k = 0; k < 32; ++k) tree.find(LocCode::root().child(i));
+  }
+  // Enforce the budget: c0's subtree is the coldest and is evicted.
+  tree.refine_where([](const LocCode&, const CellData&) { return false; });
+
+  ASSERT_TRUE(tree.current_root().in_dram());
+  const NodeRef copy = tree.current_root().dram_ptr()->child_ref(0);
+  ASSERT_TRUE(copy.in_nvbm()) << "c0 was not evicted";
+  PNode node;
+  std::memcpy(&node, fx.device.raw(copy.nvbm_offset(), sizeof(PNode)),
+              sizeof(PNode));
+  PNode sealed;
+  std::memcpy(&sealed,
+              fx.device.raw(tree.previous_root().nvbm_offset(), sizeof(PNode)),
+              sizeof(PNode));
+  ASSERT_NE(sealed.child_ref(0), copy) << "no new eviction copy";
+  ASSERT_LT(node.epoch, tree.epoch()) << "eviction copy has a fresh epoch";
+
+  tree.update(c0.child(2), cell(0.75));  // CoW through the copy
+  tree.persist();
+  EXPECT_EQ(tree.gc(), 0u);
+  EXPECT_EQ(fx.heap.stats().live_objects, reachable_objects(tree));
+}
+
+TEST(RetireList, PinHoldsOnlyWhatItsVersionReaches) {
+  // A pin on V_1 that outlives two persists keeps V_1's superseded
+  // octants, but not those only V_2 had.
+  Fixture fx;  // default C0: every octant is DRAM with a durable twin
+  auto tree = PmOctree::create(fx.heap, fx.config);
+  const LocCode leaf = LocCode::root().child(0);
+  tree.refine(LocCode::root());
+  tree.persist();
+  auto snap = tree.pin_snapshot();
+  tree.update(leaf, cell(0.25));
+  tree.persist();  // retires V_1's twins of the leaf and the root
+  EXPECT_EQ(tree.deferred_reclaim_nodes(), 2u);
+  tree.update(leaf, cell(0.5));
+  const auto stats = tree.persist();  // V_2's twins: no pin reaches them
+  EXPECT_EQ(stats.gc_freed, 2u);
+  EXPECT_EQ(tree.deferred_reclaim_nodes(), 2u);
+  EXPECT_EQ(fx.heap.stats().live_objects, reachable_objects(tree) + 2);
+  // A full collection under the pin frees nothing and keeps the two
+  // pinned entries listed for the persist after the release.
+  EXPECT_EQ(tree.gc(), 0u);
+  EXPECT_EQ(tree.deferred_reclaim_nodes(), 2u);
+  snap.release();
+  EXPECT_EQ(tree.persist().gc_freed, 2u);
+  EXPECT_EQ(tree.gc(), 0u);
+}
+
+TEST(RetireList, FirstPersistAfterRestoreReclaimsStrandedObjects) {
+  PmConfig pm;
+  pm.dram_budget_bytes = 0;  // every mutation allocates on NVBM
+  Fixture fx(pm);
+  {
+    auto tree = PmOctree::create(fx.heap, pm);
+    tree.refine(LocCode::root());
+    tree.persist();
+    tree.refine(LocCode::root().child(3));  // lost with the working tree
+    tree.update(LocCode::root().child(5), cell(0.5));
+  }
+  auto back = PmOctree::restore(fx.heap, pm);
+  back.update(LocCode::root().child(1), cell(0.25));
+  const auto stats = back.persist();
+  EXPECT_GT(stats.gc_freed, 0u);
+  EXPECT_EQ(fx.heap.stats().live_objects, reachable_objects(back));
+  EXPECT_EQ(back.gc(), 0u);
 }
 
 TEST(Persist, EpochAdvancesEachPersist) {
