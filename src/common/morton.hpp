@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
@@ -125,6 +126,24 @@ class LocCode {
   static constexpr LocCode from_key(std::uint64_t key, int level) noexcept {
     PMO_DCHECK(level >= 0 && level <= kMaxLevel);
     return LocCode(key, level);
+  }
+
+  /// One-word form (the Morton-index octant of p4est, Kirilin and
+  /// Burstedde, arXiv 2308.13615): the anchor's key on this level's own
+  /// grid below a sentinel bit, (1 << 3L) | (key >> 3(kMaxLevel - L)).
+  /// 61 bits at kMaxLevel; the level is the sentinel's position / 3. In
+  /// this form the parent is `w >> 3` and child i is `(w << 3) | i`.
+  constexpr std::uint64_t word() const noexcept {
+    return (std::uint64_t{1} << (3 * level_)) |
+           (key_ >> (3 * (kMaxLevel - level_)));
+  }
+  /// Inverse of word(). `w` must be a word() value (non-zero).
+  static constexpr LocCode from_word(std::uint64_t w) noexcept {
+    PMO_DCHECK(w != 0);
+    const int level = (std::bit_width(w) - 1) / 3;
+    PMO_DCHECK(level <= kMaxLevel);
+    const std::uint64_t grid_key = w ^ (std::uint64_t{1} << (3 * level));
+    return LocCode(grid_key << (3 * (kMaxLevel - level)), level);
   }
 
   constexpr int level() const noexcept { return level_; }

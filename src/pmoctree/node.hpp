@@ -9,7 +9,9 @@
 // for the application (§1, challenge 3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/morton.hpp"
 #include "octree/cell_data.hpp"
@@ -51,7 +53,7 @@ class NodeRef {
   }
 
   /// Raw tagged bits — this exact word is what gets stored inside
-  /// persistent parent/child slots.
+  /// persistent child slots.
   constexpr std::uint64_t bits() const noexcept { return bits_; }
   static constexpr NodeRef from_bits(std::uint64_t bits) noexcept {
     return NodeRef(bits);
@@ -76,7 +78,8 @@ struct NodeRefHash {
 
 /// Node flags.
 enum NodeFlags : std::uint32_t {
-  kNodeDeleted = 1u << 0,  ///< tombstoned; reclaimed by the next GC sweep
+  /// Tombstoned (gc_on_persist off only); reclaimed by the next gc().
+  kNodeDeleted = 1u << 0,
   /// Dirty-subtree summary bit (DRAM-resident nodes only): some octant in
   /// this node's subtree mutated since the last persist, so the merge
   /// must recurse here. A clean DRAM node (bit unset, epoch < current,
@@ -95,9 +98,14 @@ enum NodeFlags : std::uint32_t {
 
 /// The octant record, identical layout in DRAM and NVBM so merging is a
 /// copy plus link fix-up. Trivially copyable by construction.
+///
+/// 128 bytes, two cache lines: the locational code as one word (8), the
+/// child refs (64), the payload (48), then flags and epoch (8). Every
+/// modeled node access is charged for sizeof(PNode) bytes, so this size
+/// is what a C0 access, a node-cache hit and a serve node load cost.
 struct PNode {
-  LocCode code;
-  std::uint64_t parent = 0;                     ///< NodeRef bits
+  /// LocCode::word() of the octant (the root's by default).
+  std::uint64_t code_word = 1;
   std::uint64_t child[kChildrenPerNode] = {};   ///< NodeRef bits
   CellData data;
   std::uint32_t flags = 0;
@@ -107,6 +115,9 @@ struct PNode {
   /// the current epoch is private to V_i and may be updated in place
   /// (paper §3.2).
   std::uint32_t epoch = 0;
+
+  LocCode code() const noexcept { return LocCode::from_word(code_word); }
+  void set_code(const LocCode& c) noexcept { code_word = c.word(); }
 
   NodeRef child_ref(int i) const noexcept {
     return NodeRef::from_bits(child[i]);
@@ -119,8 +130,6 @@ struct PNode {
     else
       flags |= bit;
   }
-  NodeRef parent_ref() const noexcept { return NodeRef::from_bits(parent); }
-  void set_parent(NodeRef r) noexcept { parent = r.bits(); }
 
   std::uint8_t child_mask() const noexcept {
     return static_cast<std::uint8_t>(flags >> kNodeChildMaskShift);
@@ -133,5 +142,14 @@ struct PNode {
 };
 
 static_assert(std::is_trivially_copyable_v<PNode>);
+static_assert(sizeof(PNode) == 128, "a PNode spans exactly two 64 B lines");
+// The partial stores (pm_octree.cpp) write these fields in place: the
+// children array, one child slot, the data..epoch tail, the flags word,
+// and reclamation reads the epoch word alone.
+static_assert(offsetof(PNode, code_word) == 0);
+static_assert(offsetof(PNode, child) == 8);
+static_assert(offsetof(PNode, data) == 72);
+static_assert(offsetof(PNode, flags) == 120);
+static_assert(offsetof(PNode, epoch) == 124);
 
 }  // namespace pmo::pmoctree

@@ -74,7 +74,7 @@ PmOctree PmOctree::create(nvbm::Heap& heap, PmConfig config) {
   heap.set_root(kNodeCountSlot, 0);
   heap.sweep([](std::uint64_t) { return false; });
   PNode root{};
-  root.code = LocCode::root();
+  root.set_code(LocCode::root());
   root.epoch = tree.epoch_;
   tree.cur_root_ = tree.alloc_node(root, true);
   tree.logical_nodes_ = 1;
@@ -166,11 +166,11 @@ PNode PmOctree::read_node(NodeRef ref) {
   if (ref.in_dram()) {
     charge_dram_read();
     const PNode node = *ref.dram_ptr();
-    touch_heat(node.code, 1.0);
+    touch_heat(node.code(), 1.0);
     return node;
   }
   const PNode node = nv_load(ref.nvbm_offset());
-  touch_heat(node.code, 1.0);
+  touch_heat(node.code(), 1.0);
   return node;
 }
 
@@ -216,7 +216,7 @@ void PmOctree::nv_free(std::uint64_t offset) {
 
 void PmOctree::write_node(NodeRef ref, const PNode& node) {
   PMO_DCHECK(!ref.null());
-  touch_heat(node.code, 1.0);
+  touch_heat(node.code(), 1.0);
   if (ref.in_dram()) {
     ++structure_version_;
     charge_dram_write();
@@ -227,14 +227,14 @@ void PmOctree::write_node(NodeRef ref, const PNode& node) {
 }
 
 void PmOctree::write_back_data(PathEntry& e) {
-  touch_heat(e.node.code, 1.0);
+  touch_heat(e.node.code(), 1.0);
   if (e.ref.in_dram()) {
     ++structure_version_;
     charge_dram_write();
     *e.ref.dram_ptr() = e.node;
     return;
   }
-  // Only data/flags/epoch changed; the code/parent/children prefix on the
+  // Only data/flags/epoch changed; the code/children prefix on the
   // device is already identical (the node was either stored whole at its
   // CoW allocation or was private with the same links).
   nv_store_partial(e.ref.nvbm_offset(), offsetof(PNode, data),
@@ -242,7 +242,7 @@ void PmOctree::write_back_data(PathEntry& e) {
 }
 
 void PmOctree::write_back_child(NodeRef ref, const PNode& node, int ci) {
-  touch_heat(node.code, 1.0);
+  touch_heat(node.code(), 1.0);
   if (ref.in_dram()) {
     ++structure_version_;
     charge_dram_write();
@@ -259,7 +259,7 @@ void PmOctree::write_back_child(NodeRef ref, const PNode& node, int ci) {
 }
 
 void PmOctree::write_back_children(NodeRef ref, const PNode& node) {
-  touch_heat(node.code, 1.0);
+  touch_heat(node.code(), 1.0);
   if (ref.in_dram()) {
     ++structure_version_;
     charge_dram_write();
@@ -276,7 +276,7 @@ void PmOctree::nv_store_children(std::uint64_t offset, const PNode& node) {
 }
 
 NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
-  note_depth(proto.code.level());
+  note_depth(proto.code().level());
   ++structure_version_;
   // Hard cap at the overflow ceiling; the placement policies already
   // enforce the tighter budget/designation rules.
@@ -286,7 +286,7 @@ NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
     PNode* slot = take_dram_slot();
     *slot = proto;
     charge_dram_write();
-    c0_set_.insert(subtree_id(proto.code));
+    c0_set_.insert(subtree_id(proto.code()));
     return NodeRef::dram(slot);
   }
   const std::uint64_t off = heap_.alloc(kNodeSize);
@@ -377,7 +377,7 @@ bool PmOctree::descend(const LocCode& code, Path& path) {
     // Longest common ancestor of the cursor's code and the probe: the
     // deepest level at which both codes name the same octant, computed
     // from the codes alone — no tree reads.
-    const LocCode& prev = cur->path.back().node.code;
+    const LocCode prev = cur->path.back().node.code();
     int lca = std::min(code.level(), prev.level());
     while (lca > 0 &&
            !(code.ancestor_at(lca).key() == prev.ancestor_at(lca).key()))
@@ -402,7 +402,7 @@ bool PmOctree::descend(const LocCode& code, Path& path) {
         if (cache_.insert(e.ref.nvbm_offset(), e.node, epoch_))
           tm_.cache_evictions->add();
       }
-      touch_heat(e.node.code, 1.0);
+      touch_heat(e.node.code(), 1.0);
       path.push_back(e);
     }
     reused = take;
@@ -470,20 +470,19 @@ NodeRef PmOctree::make_mutable(Path& path, std::size_t i) {
   telemetry::trace::instant("pmoctree.cow_copy", "pmoctree",
                             {{"depth", static_cast<double>(i)}});
   retire(ref.nvbm_offset(), path[i].node.epoch);
-  NodeRef parent_ref;
-  if (i > 0) parent_ref = make_mutable(path, i - 1);
+  if (i > 0) make_mutable(path, i - 1);
 
   PNode copy = path[i].node;
   copy.epoch = epoch_;
-  copy.set_parent(parent_ref);
-  const NodeRef nref = alloc_node(copy, place_new(copy.code));
+  const LocCode code = copy.code();
+  const NodeRef nref = alloc_node(copy, place_new(code));
 
   if (i == 0) {
     cur_root_ = nref;
   } else {
     auto& parent = path[i - 1];
-    parent.node.set_child(copy.code.child_index(), nref);
-    write_back_child(parent.ref, parent.node, copy.code.child_index());
+    parent.node.set_child(code.child_index(), nref);
+    write_back_child(parent.ref, parent.node, code.child_index());
   }
   path[i].ref = nref;
   path[i].node = copy;
@@ -520,7 +519,7 @@ CellData PmOctree::sample(const LocCode& code) {
 LocCode PmOctree::leaf_containing(const LocCode& code) {
   Path path;
   descend(code, path);
-  return path.back().node.code;
+  return path.back().node.code();
 }
 
 void PmOctree::for_each_node(
@@ -531,7 +530,7 @@ void PmOctree::for_each_node(
     const NodeRef ref = stack.back();
     stack.pop_back();
     const PNode node = read_node(ref);
-    fn(node.code, node.data, node.is_leaf());
+    fn(node.code(), node.data, node.is_leaf());
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);
@@ -548,7 +547,7 @@ void PmOctree::for_each_node_ex(
     const NodeRef ref = stack.back();
     stack.pop_back();
     const PNode node = read_node(ref);
-    fn(node.code, node.data, node.is_leaf(), ref.in_dram());
+    fn(node.code(), node.data, node.is_leaf(), ref.in_dram());
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);
@@ -574,8 +573,8 @@ void PmOctree::extract_leaves_soa(std::vector<std::uint64_t>& keys,
     stack.pop_back();
     const PNode node = read_node(ref);
     if (node.is_leaf()) {
-      keys.push_back(node.code.key());
-      levels.push_back(static_cast<std::uint8_t>(node.code.level()));
+      keys.push_back(node.code().key());
+      levels.push_back(static_cast<std::uint8_t>(node.code().level()));
       vof.push_back(node.data.vof);
       tracer.push_back(node.data.tracer);
       continue;
@@ -596,7 +595,7 @@ void PmOctree::for_each_leaf_from(
     const NodeRef ref = stack.back();
     stack.pop_back();
     const PNode node = read_node(ref);
-    if (node.is_leaf()) fn(node.code, node.data);
+    if (node.is_leaf()) fn(node.code(), node.data);
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);
@@ -635,7 +634,7 @@ void PmOctree::for_each_leaf_mut_pruned(
     const std::size_t i = path.size() - 1;
     if (path[i].node.is_leaf()) {
       CellData d = path[i].node.data;
-      if (fn(path[i].node.code, d)) {
+      if (fn(path[i].node.code(), d)) {
         make_mutable(path, i);
         path[i].node.data = d;
         write_back_data(path[i]);
@@ -654,7 +653,7 @@ void PmOctree::for_each_leaf_mut_pruned(
       const int idx = c;
       ++c;
       if (candidate.null()) continue;
-      if (!visit(path[i].node.code.child(idx))) continue;
+      if (!visit(path[i].node.code().child(idx))) continue;
       child = candidate;
       break;
     }
@@ -696,21 +695,21 @@ void PmOctree::insert(const LocCode& code, const CellData& data) {
   // Create full sibling groups level by level under the deepest ancestor
   // (octree invariant: a node has zero or eight children).
   ++topology_version_;  // new octants change the leaf set
-  while (path.back().node.code.level() < code.level()) {
+  while (path.back().node.code().level() < code.level()) {
     const std::size_t pi = path.size() - 1;
     make_mutable(path, pi);
     PNode parent = path[pi].node;
-    const int next_level = parent.code.level() + 1;
-    const int take = code.ancestor_at(next_level).child_index();
+    const LocCode pcode = parent.code();
+    const int take = code.ancestor_at(pcode.level() + 1).child_index();
     NodeRef take_ref;
     PNode take_node{};
     for (int ci = 0; ci < kChildrenPerNode; ++ci) {
       PNode child{};
-      child.code = parent.code.child(ci);
+      const LocCode ccode = pcode.child(ci);
+      child.set_code(ccode);
       child.data = parent.data;  // inherit
       child.epoch = epoch_;
-      child.set_parent(path[pi].ref);
-      const NodeRef cref = alloc_node(child, place_new(child.code));
+      const NodeRef cref = alloc_node(child, place_new(ccode));
       parent.set_child(ci, cref);
       if (ci == take) {
         take_ref = cref;
@@ -755,16 +754,18 @@ std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
     free_node(ref);
     return n;
   }
-  // Shared with V_{i-1}: may not be freed or mutated structurally. Mark the
-  // subtree root as deleted (tombstone) and retire every shared node; they
-  // are reclaimed once the versions that reference them are superseded
-  // (§3.2, Deletion). The children are recursed with tombstoning off.
+  // Shared with V_{i-1}: may not be freed or mutated structurally. Retire
+  // every shared node; they are reclaimed once the versions that reference
+  // them are superseded (§3.2, Deletion). Without gc_on_persist the
+  // subtree root is also marked deleted (tombstone) for explicit gc()
+  // callers; the retire list needs no mark, so the sealed version's bytes
+  // stay untouched. The children are recursed with tombstoning off.
   retire(ref.nvbm_offset(), node.epoch);
   std::size_t n = 1;
   for (int i = 0; i < kChildrenPerNode; ++i)
     n += free_subtree(node.child_ref(i), /*tombstone_shared=*/false);
-  if (tombstone_shared && !node.deleted()) {
-    touch_heat(node.code, 1.0);
+  if (tombstone_shared && !config_.gc_on_persist && !node.deleted()) {
+    touch_heat(node.code(), 1.0);
     if (registry_->pin_count() != 0) {
       // Epoch-based reclamation: a pinned reader may be traversing this
       // shared node right now, so the kNodeDeleted flip must not be
@@ -807,12 +808,12 @@ void PmOctree::refine(
   PNode parent = path[li].node;
   for (int ci = 0; ci < kChildrenPerNode; ++ci) {
     PNode child{};
-    child.code = parent.code.child(ci);
+    const LocCode ccode = leaf.child(ci);
+    child.set_code(ccode);
     child.data = parent.data;
     child.epoch = epoch_;
-    child.set_parent(path[li].ref);
-    if (init) init(child.code, child.data);
-    parent.set_child(ci, alloc_node(child, place_new(child.code)));
+    if (init) init(ccode, child.data);
+    parent.set_child(ci, alloc_node(child, place_new(ccode)));
   }
   write_back_children(path[li].ref, parent);
   logical_nodes_ += kChildrenPerNode;
@@ -887,10 +888,10 @@ std::size_t PmOctree::coarsen_where(
         all_leaf = false;
         stack.push_back(c);  // keep scanning deeper groups
       } else {
-        all_agree &= pred(child.code, child.data);
+        all_agree &= pred(child.code(), child.data);
       }
     }
-    if (all_leaf && all_agree) groups.push_back(node.code);
+    if (all_leaf && all_agree) groups.push_back(node.code());
   }
   for (const auto& g : groups) coarsen(g);
   return groups.size();
@@ -1049,22 +1050,10 @@ NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
     }
   }
   const std::uint64_t off = heap_.alloc(kNodeSize);
-  const NodeRef nref = NodeRef::nvbm(off);
   nv_store(off, node);
-  // Fix advisory parent pointers of private (current-epoch) children.
-  for (int i = 0; i < kChildrenPerNode; ++i) {
-    const NodeRef c = node.child_ref(i);
-    if (c.null()) continue;
-    PNode child = nv_load(c.nvbm_offset());
-    if (child.epoch == epoch_) {
-      child.set_parent(nref);
-      nv_store_partial(c.nvbm_offset(), offsetof(PNode, parent),
-                       sizeof(child.parent), child);
-    }
-  }
   free_node(ref);
   ++(*moved);
-  return nref;
+  return NodeRef::nvbm(off);
 }
 
 void PmOctree::census_add(SampleCensus& census, const LocCode& code,
@@ -1127,7 +1116,6 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
       twin.set_child(i, child_res[i].pref);
       working.set_child(i, child_res[i].wref);
     }
-    twin.set_parent(NodeRef{});
     const std::uint64_t twin_off = heap_.alloc(kNodeSize);
     nv_store(twin_off, twin);
     PNode* slot = take_dram_slot();
@@ -1182,7 +1170,6 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
   // Write a fresh durable twin; the old one (if any) still belongs to
   // V_{i-1}, so it is retired.
   twin_content.epoch = epoch_;
-  twin_content.set_parent(NodeRef{});  // advisory; fixed by the parent
   const std::uint64_t off = heap_.alloc(kNodeSize);
   nv_store(off, twin_content);
   if (twin != twins_.end()) retire(twin->second, 0);
@@ -1210,7 +1197,7 @@ void PmOctree::collect_census(NodeRef root, SampleCensus& census) {
       std::memcpy(&node, device().raw(ref.nvbm_offset(), kNodeSize),
                   kNodeSize);
     }
-    census_add(census, node.code, node.data, ref.in_dram());
+    census_add(census, node.code(), node.data, ref.in_dram());
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);
@@ -1315,6 +1302,11 @@ PersistStats PmOctree::persist() {
     collect_census(cur_root_, census);
     transform_with(census);
   }
+  // C0 may overflow its budget only between merge points: trim it back
+  // now. Every DRAM octant is clean with a matching twin after the merge,
+  // so an eviction that reaches one links the twin instead of writing a
+  // copy.
+  enforce_dram_budget();
 
   // 6. Automated C0 sizing (the paper's §6 future work): adapt the DRAM
   //    budget to keep the NVBM tier's share of memory accesses in band.
@@ -1584,29 +1576,27 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
     if (changed) write_node(ref, node);
     return ref;
   }
-  PNode node = nv_load(ref.nvbm_offset());
-  const bool shared = node.epoch != epoch_;
-  PNode copy = node;
-  for (int i = 0; i < kChildrenPerNode; ++i)
-    copy.set_child(i, dramify(copy.child_ref(i), moved, node_limit));
+  // NVBM node, pre-order: claim its C0 slot before any descendant's, so a
+  // full C0 stops the walk above every copy (no orphaned child copies)
+  // and a freed private original is never linked by an NVBM parent.
   if (dram_bytes() >= config_.dram_budget_bytes) return ref;
-  // Place the copy in DRAM (force: this is the transformation's purpose).
+  PNode node = nv_load(ref.nvbm_offset());
   PNode* slot = take_dram_slot();
-  if (shared) {
-    // The original stays as V_{i-1}'s copy AND becomes the DRAM node's
-    // durable twin: the octant is unchanged, only its residence moved, so
-    // the next persist can keep sharing it.
+  if (node.epoch != epoch_) {
+    // Shared: the original stays as V_{i-1}'s copy AND becomes the DRAM
+    // node's durable twin: the octant is unchanged, only its residence
+    // moved, so the next persist can keep sharing it.
     twins_[slot] = ref.nvbm_offset();
   } else {
     // Private original: the DRAM copy simply replaces it.
-    copy.epoch = epoch_;
     nv_free(ref.nvbm_offset());
   }
-  *slot = copy;
-  charge_dram_write();
-  const NodeRef nref = NodeRef::dram(slot);
   ++(*moved);
-  return nref;
+  for (int i = 0; i < kChildrenPerNode; ++i)
+    node.set_child(i, dramify(node.child_ref(i), moved, node_limit));
+  *slot = node;
+  charge_dram_write();
+  return NodeRef::dram(slot);
 }
 
 TransformStats PmOctree::maybe_transform() {
@@ -1622,7 +1612,7 @@ TransformStats PmOctree::maybe_transform() {
     const NodeRef ref = stack.back();
     stack.pop_back();
     const PNode node = read_node(ref);
-    census_add(census, node.code, node.data, ref.in_dram());
+    census_add(census, node.code(), node.data, ref.in_dram());
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);
@@ -1751,8 +1741,10 @@ void PmOctree::enforce_dram_budget() {
     const PNode node =
         ref.in_dram() ? *ref.dram_ptr()
                       : nv_load(ref.nvbm_offset());
-    if (ref.in_dram() && node.code.level() >= lsub)
-      ++counts[node.code.ancestor_at(lsub)];
+    if (ref.in_dram()) {
+      const LocCode code = node.code();
+      if (code.level() >= lsub) ++counts[code.ancestor_at(lsub)];
+    }
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);
@@ -1811,7 +1803,7 @@ PmStats PmOctree::stats() {
       ++s.nvbm_nodes_vi;
       nvbm_union.insert(ref.nvbm_offset());
     }
-    s.depth = std::max(s.depth, node.code.level());
+    s.depth = std::max(s.depth, node.code().level());
     for (int i = 0; i < kChildrenPerNode; ++i) {
       const NodeRef c = node.child_ref(i);
       if (!c.null()) stack.push_back(c);

@@ -167,7 +167,8 @@ class PmOctree {
   /// Updates an existing octant's payload (Fig. 4b).
   void update(const LocCode& code, const CellData& data);
   /// Removes the subtree rooted at `code` from V_i. NVBM octants still
-  /// referenced by V_{i-1} are tombstoned, not freed (§3.2, Deletion).
+  /// referenced by V_{i-1} are retired, not freed (§3.2, Deletion); without
+  /// gc_on_persist the removed subtree's root is also tombstoned.
   void remove(const LocCode& code);
   /// Splits a leaf into 8 children (children inherit data; `init` may
   /// override).
@@ -191,8 +192,9 @@ class PmOctree {
 
   /// pm_persistent: merge C0 into C1, make V_i durable, atomically swap the
   /// persistent root, reclaim what the superseded version alone held
-  /// (tombstones, or the retire list under gc_on_persist), and run the
-  /// dynamic layout transformation.
+  /// (tombstones, or the retire list under gc_on_persist), run the
+  /// dynamic layout transformation, and evict C0 subtrees back within the
+  /// budget: C0 overflows only between persists (DESIGN.md §5).
   PersistStats persist();
 
   /// Full mark-and-sweep: frees every NVBM object unreachable from both
@@ -416,8 +418,8 @@ class PmOctree {
   /// updating the path and parent links. Returns the (possibly new) ref.
   NodeRef make_mutable(Path& path, std::size_t i);
   /// Write-back of a leaf-data mutation along a traversal path: DRAM in
-  /// place, NVBM via a data..epoch tail partial store (the code/parent/
-  /// children prefix is unchanged by construction).
+  /// place, NVBM via a data..epoch tail partial store (the code/children
+  /// prefix is unchanged by construction).
   void write_back_data(PathEntry& e);
   /// Write-back of a single-child-slot relink (CoW parent fix-up, remove,
   /// subtree replacement).

@@ -54,7 +54,8 @@ void ReplicaStore::apply(const Delta& delta) {
 std::size_t ReplicaStore::restore_into(nvbm::Heap& heap) const {
   PMO_CHECK_MSG(!empty(), "replica store holds no version");
   // Allocate every mirrored octant in the fresh heap, then relink child
-  // references through the old-offset -> new-offset map.
+  // references, an octant's only links, through the old-offset ->
+  // new-offset map.
   std::unordered_map<std::uint64_t, std::uint64_t> relocation;
   relocation.reserve(mirror_.size());
   for (const auto& [old_off, node] : mirror_) {
@@ -70,12 +71,6 @@ std::size_t ReplicaStore::restore_into(nvbm::Heap& heap) const {
       PMO_CHECK_MSG(it != relocation.end(),
                     "replica mirror misses a referenced octant");
       moved.set_child(i, NodeRef::nvbm(it->second));
-    }
-    const NodeRef p = moved.parent_ref();
-    if (!p.null()) {
-      const auto it = relocation.find(p.in_nvbm() ? p.nvbm_offset() : 0);
-      moved.set_parent(it != relocation.end() ? NodeRef::nvbm(it->second)
-                                              : NodeRef{});
     }
     dev.store<PNode>(relocation[old_off], moved);
     dev.flush(relocation[old_off], sizeof(PNode));

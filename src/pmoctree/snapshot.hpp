@@ -9,9 +9,10 @@
 //    that held it, and gc() adds every pinned root's reachable set to
 //    its live set, so no node a reader can still reach is ever freed or
 //    reused;
-//  * tombstone marking (persist step 3 and shared-subtree removal) is
-//    deferred while any pin is live, because flipping kNodeDeleted on a
-//    shared node is a write into bytes a reader may be memcpy-ing.
+//  * tombstone marking (persist step 3 and shared-subtree removal, both
+//    only with gc_on_persist off) is deferred while any pin is live,
+//    because flipping kNodeDeleted on a shared node is a write into
+//    bytes a reader may be memcpy-ing.
 //
 // Concurrency model: the registry is the ONLY PmOctree state that reader
 // threads touch. pin/unpin take a small mutex (never held while doing

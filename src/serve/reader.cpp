@@ -97,29 +97,34 @@ pmoctree::PNode Reader::load(std::uint64_t offset) {
 
 pmoctree::PNode Reader::root() { return load(snap_.root_offset()); }
 
+// The descents below follow `code`'s ancestors, so the depth reached
+// gives the level without decoding each loaded node's code word.
+
 Leaf Reader::locate(const LocCode& code) {
   count_query(q_point_);
   pmoctree::PNode node = root();
-  while (!node.is_leaf() && node.code.level() < code.level()) {
-    const LocCode next = code.ancestor_at(node.code.level() + 1);
-    const pmoctree::NodeRef c = node.child_ref(next.child_index());
+  int level = 0;
+  while (!node.is_leaf() && level < code.level()) {
+    const int next = code.ancestor_at(level + 1).child_index();
+    const pmoctree::NodeRef c = node.child_ref(next);
     if (c.null()) break;  // partial sibling group: this node covers code
     node = load(c.nvbm_offset());
+    ++level;
   }
-  return {node.code, node.data};
+  return {node.code(), node.data};
 }
 
 std::optional<CellData> Reader::find(const LocCode& code) {
   count_query(q_point_);
   pmoctree::PNode node = root();
-  while (node.code.level() < code.level()) {
+  for (int level = 0; level < code.level(); ++level) {
     if (node.is_leaf()) return std::nullopt;
-    const LocCode next = code.ancestor_at(node.code.level() + 1);
-    const pmoctree::NodeRef c = node.child_ref(next.child_index());
+    const int next = code.ancestor_at(level + 1).child_index();
+    const pmoctree::NodeRef c = node.child_ref(next);
     if (c.null()) return std::nullopt;
     node = load(c.nvbm_offset());
   }
-  if (node.code == code) return node.data;
+  if (node.code_word == code.word()) return node.data;
   return std::nullopt;
 }
 
@@ -138,8 +143,9 @@ std::size_t Reader::box_walk(const Box& box,
     const std::uint64_t off = stack.back();
     stack.pop_back();
     const pmoctree::PNode node = load(off);
+    const LocCode code = node.code();  // decoded once per loaded node
     if (node.is_leaf()) {
-      fn(Leaf{node.code, node.data});
+      fn(Leaf{code, node.data});
       ++n;
       continue;
     }
@@ -148,7 +154,7 @@ std::size_t Reader::box_walk(const Box& box,
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
       const pmoctree::NodeRef c = node.child_ref(i);
       if (c.null()) continue;
-      const LocCode cc = node.code.child(i);
+      const LocCode cc = code.child(i);
       if (box.intersects(cc.anchor(), cc.extent()))
         stack.push_back(c.nvbm_offset());
     }

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "amr/droplet.hpp"
 #include "amr/pm_backend.hpp"
+#include "common/rng.hpp"
 
 namespace pmo::pmoctree {
 namespace {
@@ -122,6 +124,40 @@ TEST(AutoBudget, ReducesModeledTimeOnStarvedWorkload) {
   const auto starved = run(false, 64 << 10);
   const auto adaptive = run(true, 64 << 10);
   EXPECT_LT(adaptive, starved);
+}
+
+TEST(DramBudget, HeldAtEveryPersist) {
+  // The starved run above, with random updates and refinements between
+  // persists and no budget check of their own: copy-on-write and the
+  // merge may grow C0 past its budget, but every persist must end within
+  // it (PmConfig::dram_overflow allows overflow only between merges).
+  nvbm::Device dev(256 << 20, dev_cfg());
+  nvbm::Heap heap(dev);
+  PmConfig pm;
+  pm.dram_budget_bytes = 64 << 10;
+  pm.enable_transform = false;
+  auto tree = PmOctree::create(heap, pm);
+  for (int l = 0; l < 3; ++l)
+    tree.refine_where([](const LocCode&, const CellData&) { return true; });
+  Rng rng(21);
+  for (int s = 0; s < 12; ++s) {
+    tree.for_each_leaf_mut([&](const LocCode&, CellData& d) {
+      if (!rng.chance(0.6)) return false;
+      d.tracer += 1.0;
+      return true;
+    });
+    std::vector<LocCode> leaves;
+    tree.for_each_leaf(
+        [&](const LocCode& c, const CellData&) { leaves.push_back(c); });
+    for (const LocCode& c : leaves) {
+      if (c.level() < 4 && rng.chance(0.02)) tree.refine(c);
+    }
+    tree.persist();
+    const PmStats st = tree.stats();
+    EXPECT_LE(st.dram_bytes, tree.dram_budget())
+        << "persist " << s << ": " << st.dram_nodes << " octants in a "
+        << tree.dram_budget() / sizeof(PNode) << "-octant C0";
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <vector>
 
@@ -188,6 +189,52 @@ TEST(LocCode, DeepChildChainRoundTrips) {
       code = code.parent();
     }
     EXPECT_EQ(code, LocCode::root());
+  }
+}
+
+TEST(LocCode, WordRoundTripsAtEveryLevel) {
+  static_assert(LocCode::root().word() == 1);
+  static_assert(LocCode::from_word(1) == LocCode::root());
+  Rng rng(11);
+  for (int level = 0; level <= kMaxLevel; ++level) {
+    const std::uint32_t top = (std::uint32_t{1} << level) - 1;
+    std::vector<LocCode> codes = {LocCode::from_grid(level, 0, 0, 0),
+                                  LocCode::from_grid(level, top, top, top)};
+    for (int i = 0; i < 50; ++i) {
+      codes.push_back(LocCode::from_grid(
+          level, static_cast<std::uint32_t>(rng.below(top + 1ull)),
+          static_cast<std::uint32_t>(rng.below(top + 1ull)),
+          static_cast<std::uint32_t>(rng.below(top + 1ull))));
+    }
+    for (const LocCode& c : codes) {
+      const std::uint64_t w = c.word();
+      EXPECT_EQ(std::bit_width(w), 3 * level + 1) << c.to_string();
+      EXPECT_EQ(LocCode::from_word(w), c) << c.to_string();
+    }
+  }
+  // The all-ones anchor at kMaxLevel fills all 61 bits.
+  const std::uint32_t max = (std::uint32_t{1} << kMaxLevel) - 1;
+  EXPECT_EQ(LocCode::from_grid(kMaxLevel, max, max, max).word(),
+            (std::uint64_t{1} << 61) - 1);
+}
+
+TEST(LocCode, WordArithmeticMatchesChildAndParent) {
+  Rng rng(12);
+  for (int trial = 0; trial < 200; ++trial) {
+    LocCode code = LocCode::root();
+    const int depth = static_cast<int>(rng.below(kMaxLevel + 1));
+    for (int l = 0; l < depth; ++l)
+      code = code.child(static_cast<int>(rng.below(kChildrenPerNode)));
+    const std::uint64_t w = code.word();
+    if (code.level() < kMaxLevel) {
+      for (int i = 0; i < kChildrenPerNode; ++i) {
+        EXPECT_EQ((w << 3) | static_cast<std::uint64_t>(i),
+                  code.child(i).word());
+      }
+    }
+    if (code.level() > 0) {
+      EXPECT_EQ(w >> 3, code.parent().word());
+    }
   }
 }
 

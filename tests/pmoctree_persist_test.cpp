@@ -412,15 +412,17 @@ TEST(RetireList, StaleEpochEvictionCopyIsReclaimed) {
   // of a sealed version, yet it looks shared: a later copy-on-write
   // through it must retire it, or it leaks.
   PmConfig pm;
-  pm.dram_budget_bytes = 16 * sizeof(PNode);
+  pm.dram_budget_bytes = 17 * sizeof(PNode);
+  pm.threshold_dram = 2.0;  // new octants may fill C0 to twice the budget
   Fixture fx(pm);
   auto tree = PmOctree::create(fx.heap, pm);
   const LocCode c0 = LocCode::root().child(0);
   tree.refine(LocCode::root());
-  tree.refine(c0);  // 17 DRAM octants: one past the budget
+  tree.refine(c0);  // 17 DRAM octants: exactly the budget
   tree.persist();   // every octant gets a durable twin
 
   tree.update(c0.child(1), cell(0.5));  // c0 stays clean, a child changes
+  tree.refine(LocCode::root().child(1));  // 25 DRAM octants: over budget
   for (int i = 1; i < kChildrenPerNode; ++i) {
     for (int k = 0; k < 32; ++k) tree.find(LocCode::root().child(i));
   }

@@ -332,7 +332,7 @@ TEST(PmOctree, ChildMaskMatchesSlotScanUnderRandomOps) {
       stack.push_back(c);
     }
     EXPECT_EQ(node.child_mask(), scan)
-        << "stale child mask at level " << node.code.level();
+        << "stale child mask at level " << node.code().level();
     ++checked;
   }
   EXPECT_GT(checked, 16u);  // the walk really covered a non-trivial tree

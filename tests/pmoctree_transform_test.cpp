@@ -3,6 +3,8 @@
 
 #include <vector>
 
+#include "amr/droplet.hpp"
+#include "amr/pm_backend.hpp"
 #include "pmoctree/pm_octree.hpp"
 
 namespace pmo::pmoctree {
@@ -222,6 +224,44 @@ TEST(Transform, SamplingTouchesAtMostNSamplePerSubtree) {
   const auto out = tree.maybe_transform();
   EXPECT_GT(out.subtrees_sampled, 0u);
   EXPECT_LE(out.octants_sampled, out.subtrees_sampled * pm.n_sample);
+}
+
+TEST(Transform, C0CountsOnlyReachableOctants) {
+  // A droplet under a tight C0 with the transformation on: dram_bytes()
+  // feeds every placement and eviction decision, so it must count exactly
+  // the C0 octants V_i reaches. A transformation that fills C0 partway
+  // through a subtree must not leave unreachable copies counted.
+  nvbm::Device dev(64 << 20, dev_cfg());
+  PmConfig pm;
+  pm.dram_budget_bytes = 16 << 10;
+  amr::PmOctreeBackend mesh(dev, pm);
+  amr::DropletParams params;
+  params.min_level = 3;
+  params.max_level = 5;
+  params.dt = 0.12;
+  amr::DropletWorkload wl(params);
+  mesh.register_feature([&wl](const LocCode& c, const CellData& d) {
+    return wl.hot_feature(c, d);
+  });
+  wl.initialize(mesh);
+  std::uint64_t runs = 0;
+  for (int s = 0; s < 6; ++s) {
+    const auto before = telemetry::Registry::global()
+                            .counter("pmoctree.transform.runs")
+                            .value();
+    wl.step(mesh, s);
+    runs += telemetry::Registry::global()
+                .counter("pmoctree.transform.runs")
+                .value() -
+            before;
+    const PmStats st = mesh.tree().stats();
+    EXPECT_EQ(st.dram_nodes * sizeof(PNode), st.dram_bytes)
+        << "step " << s << ": " << st.dram_nodes << " reachable vs "
+        << st.dram_bytes / sizeof(PNode) << " counted";
+  }
+  if (telemetry::enabled()) {
+    EXPECT_GT(runs, 0u) << "the transformation never ran";
+  }
 }
 
 }  // namespace
