@@ -101,7 +101,7 @@ void BM_HeapAllocFree(benchmark::State& state) {
   nvbm::Device dev(64 << 20, bench::device_config());
   nvbm::Heap heap(dev);
   for (auto _ : state) {
-    const auto off = heap.alloc(sizeof(pmoctree::PNode));
+    const auto off = heap.alloc();
     heap.free(off);
   }
 }

@@ -14,6 +14,7 @@
 #include <type_traits>
 
 #include "common/morton.hpp"
+#include "nvbm/heap.hpp"
 #include "octree/cell_data.hpp"
 
 namespace pmo::pmoctree {
@@ -102,7 +103,9 @@ enum NodeFlags : std::uint32_t {
 /// 128 bytes, two cache lines: the locational code as one word (8), the
 /// child refs (64), the payload (48), then flags and epoch (8). Every
 /// modeled node access is charged for sizeof(PNode) bytes, so this size
-/// is what a C0 access, a node-cache hit and a serve node load cost.
+/// is what a C0 access, a node-cache hit and a serve node load cost. On
+/// NVBM each node fills one line-aligned heap slot, so a full node load
+/// or store spans exactly two lines as well.
 struct PNode {
   /// LocCode::word() of the octant (the root's by default).
   std::uint64_t code_word = 1;
@@ -142,7 +145,8 @@ struct PNode {
 };
 
 static_assert(std::is_trivially_copyable_v<PNode>);
-static_assert(sizeof(PNode) == 128, "a PNode spans exactly two 64 B lines");
+static_assert(sizeof(PNode) == nvbm::Heap::kSlotBytes,
+              "a PNode fills one heap slot: exactly two 64 B lines");
 // The partial stores (pm_octree.cpp) write these fields in place: the
 // children array, one child slot, the data..epoch tail, the flags word,
 // and reclamation reads the epoch word alone.

@@ -23,7 +23,7 @@
 // at construction: a power of two at least twice the slot count (so the
 // load factor never passes 1/2), linear probing from a multiplicative
 // hash, backward-shift deletion (no tombstones). Offset 0 marks an empty
-// bucket — heap payloads start at Heap::heap_begin() > 0.
+// bucket — heap slots start at Heap::heap_begin() > 0.
 //
 // SINGLE-WRITER DISCIPLINE: this cache MUTATES ON READ — lookup() sets
 // the clock ref bit and bumps the stats counters — so it is not merely

@@ -37,9 +37,6 @@ PmOctree::PmOctree(nvbm::Heap& heap, PmConfig config)
       config_(config),
       eq1_span_(eq1_span(config.dram_budget_bytes)),
       cache_(config.node_cache_bytes) {
-  // PNodes dominate heap traffic; give their size class the O(1)
-  // fast-path free list.
-  heap_.reserve_class(kNodeSize);
   auto& reg = telemetry::Registry::global();
   tm_.cow_copies = &reg.counter("pmoctree.cow_copies");
   tm_.twin_reuse = &reg.counter("pmoctree.merge.twin_reuse");
@@ -289,7 +286,7 @@ NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
     c0_set_.insert(subtree_id(proto.code()));
     return NodeRef::dram(slot);
   }
-  const std::uint64_t off = heap_.alloc(kNodeSize);
+  const std::uint64_t off = heap_.alloc();
   const NodeRef ref = NodeRef::nvbm(off);
   nv_store(off, proto);
   return ref;
@@ -1049,7 +1046,7 @@ NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
       return NodeRef::nvbm(twin_off);
     }
   }
-  const std::uint64_t off = heap_.alloc(kNodeSize);
+  const std::uint64_t off = heap_.alloc();
   nv_store(off, node);
   free_node(ref);
   ++(*moved);
@@ -1116,7 +1113,7 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
       twin.set_child(i, child_res[i].pref);
       working.set_child(i, child_res[i].wref);
     }
-    const std::uint64_t twin_off = heap_.alloc(kNodeSize);
+    const std::uint64_t twin_off = heap_.alloc();
     nv_store(twin_off, twin);
     PNode* slot = take_dram_slot();
     *slot = working;
@@ -1170,7 +1167,7 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
   // Write a fresh durable twin; the old one (if any) still belongs to
   // V_{i-1}, so it is retired.
   twin_content.epoch = epoch_;
-  const std::uint64_t off = heap_.alloc(kNodeSize);
+  const std::uint64_t off = heap_.alloc();
   nv_store(off, twin_content);
   if (twin != twins_.end()) retire(twin->second, 0);
   twins_[ptr] = off;
@@ -1485,7 +1482,7 @@ std::size_t PmOctree::reclaim_retired() {
         return pin == 0 || pin < r.born;
       });
   // Ascending offsets, the order the heap sweep frees in, so the free
-  // lists and every later allocation match a full gc() exactly.
+  // stack and every later allocation match a full gc() exactly.
   std::sort(retired_.begin(), held, [](const Retired& a, const Retired& b) {
     return a.offset < b.offset;
   });
@@ -1732,24 +1729,42 @@ TransformStats PmOctree::transform_with(SampleCensus& buckets) {
 void PmOctree::enforce_dram_budget() {
   if (dram_bytes() <= config_.dram_budget_bytes) return;
   const int lsub = subtree_level();
-  // Tally DRAM nodes per subtree id.
-  std::unordered_map<LocCode, std::size_t, LocCodeHash> counts;
-  std::vector<NodeRef> stack{cur_root_};
-  while (!stack.empty()) {
-    const NodeRef ref = stack.back();
-    stack.pop_back();
-    const PNode node =
-        ref.in_dram() ? *ref.dram_ptr()
-                      : nv_load(ref.nvbm_offset());
-    if (ref.in_dram()) {
-      const LocCode code = node.code();
-      if (code.level() >= lsub) ++counts[code.ancestor_at(lsub)];
+  // Tally DRAM nodes per subtree id. `load` reads an NVBM octant; with
+  // `prune` the walk reads a shared one for its epoch and stops there: a
+  // shared NVBM octant never has DRAM descendants (see persist_subtree).
+  using Tally = std::unordered_map<LocCode, std::size_t, LocCodeHash>;
+  const auto tally = [&](const auto& load, bool prune) {
+    Tally counts;
+    std::vector<NodeRef> stack{cur_root_};
+    while (!stack.empty()) {
+      const NodeRef ref = stack.back();
+      stack.pop_back();
+      const PNode node =
+          ref.in_dram() ? *ref.dram_ptr() : load(ref.nvbm_offset());
+      if (ref.in_dram()) {
+        const LocCode code = node.code();
+        if (code.level() >= lsub) ++counts[code.ancestor_at(lsub)];
+      } else if (prune && node.epoch != epoch_) {
+        continue;
+      }
+      for (int i = 0; i < kChildrenPerNode; ++i) {
+        const NodeRef c = node.child_ref(i);
+        if (!c.null()) stack.push_back(c);
+      }
     }
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
-    }
-  }
+    return counts;
+  };
+  const Tally counts =
+      tally([&](std::uint64_t off) { return nv_load(off); }, true);
+  // Debug: the pruned tally equals an uncharged walk of the whole tree.
+  PMO_DCHECK(counts == tally(
+                           [&](std::uint64_t off) {
+                             PNode n;
+                             std::memcpy(&n, device().raw(off, kNodeSize),
+                                         kNodeSize);
+                             return n;
+                           },
+                           false));
   // Evict coldest first (the paper's least-frequently-accessed policy).
   std::vector<std::pair<double, LocCode>> order;
   order.reserve(counts.size());

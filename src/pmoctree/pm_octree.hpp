@@ -200,7 +200,9 @@ class PmOctree {
   /// Full mark-and-sweep: frees every NVBM object unreachable from both
   /// roots AND from every pinned snapshot (epoch-based reclamation — see
   /// snapshot.hpp). The recovery collector: it reclaims what a crash or
-  /// an abandoned working version stranded, which no retire list saw.
+  /// an abandoned working version stranded, which no retire list saw,
+  /// and so rebuilds the free state of a re-attached heap, which counts
+  /// every slot below its durable high-water mark as allocated.
   /// restore() schedules it for the first persist; callers may run it
   /// earlier. Returns the number of objects reclaimed.
   std::size_t gc();

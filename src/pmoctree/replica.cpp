@@ -59,7 +59,7 @@ std::size_t ReplicaStore::restore_into(nvbm::Heap& heap) const {
   std::unordered_map<std::uint64_t, std::uint64_t> relocation;
   relocation.reserve(mirror_.size());
   for (const auto& [old_off, node] : mirror_) {
-    relocation[old_off] = heap.alloc(sizeof(PNode));
+    relocation[old_off] = heap.alloc();
   }
   auto& dev = heap.device();
   for (const auto& [old_off, node] : mirror_) {
