@@ -246,20 +246,39 @@ BENCHMARK(BM_DeviceFlushCoalesced)
     ->ArgNames({"stride"});
 
 void BM_PmTraverseLeaves(benchmark::State& state) {
+  // A full leaf visit of a uniform 4096-leaf tree in one tier: 0 = every
+  // octant in C0; 1 = on NVBM (C0 budget 0), node cache off; 2 = on NVBM,
+  // node cache on (warmed before timing). Host cost is the time per
+  // iteration over 4096 leaves; lines_per_leaf is the modeled cost, the
+  // DRAM, NVBM and cached lines the visit is charged.
+  const auto tier = state.range(0);
   nvbm::Device dev(std::size_t{1} << 30, bench::device_config());
   nvbm::Heap heap(dev);
-  auto tree = pmoctree::PmOctree::create(heap, pmoctree::PmConfig{});
+  pmoctree::PmConfig pm;
+  if (tier != 0) pm.dram_budget_bytes = 0;
+  if (tier == 1) pm.node_cache_bytes = 0;
+  auto tree = pmoctree::PmOctree::create(heap, pm);
   for (int l = 0; l < 4; ++l)
     tree.refine_where([](const LocCode&, const CellData&) { return true; });
-  for (auto _ : state) {
+  const auto visit = [&] {
     std::size_t n = 0;
     tree.for_each_leaf([&](const LocCode&, const CellData&) { ++n; });
-    benchmark::DoNotOptimize(n);
-  }
+    return n;
+  };
+  visit();  // warm the node cache
+  const auto lines = [&] {
+    return tree.dram_counters().lines_read + dev.counters().lines_read +
+           dev.counters().cached_lines;
+  };
+  const auto before = lines();
+  for (auto _ : state) benchmark::DoNotOptimize(visit());
+  const double leaves = static_cast<double>(state.iterations()) * 4096.0;
+  state.counters["lines_per_leaf"] = benchmark::Counter(
+      leaves == 0 ? 0.0 : static_cast<double>(lines() - before) / leaves);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * 4096));
 }
-BENCHMARK(BM_PmTraverseLeaves);
+BENCHMARK(BM_PmTraverseLeaves)->Arg(0)->Arg(1)->Arg(2)->ArgNames({"tier"});
 
 void BM_SnapshotPinUnpin(benchmark::State& state) {
   nvbm::Device dev(std::size_t{256} << 20, bench::device_config());

@@ -6,6 +6,17 @@
 
 namespace pmo::pmoctree {
 
+/// Where persist() dies when a crash-injection test arms it.
+enum class CrashPoint {
+  kNone,
+  /// Right after the merge, before flush_all() and the root-table update:
+  /// fresh twins and parent relinks still sit unflushed in the crash
+  /// simulator's write buffer.
+  kBeforeFlush,
+  /// Between the durable epoch store and the root swap.
+  kBeforeRootSwap,
+};
+
 struct PmConfig {
   /// DRAM budget for the C0 tree in bytes (the experiments' "DRAM size
   /// configured for C0": 1–8 GB on Titan, scaled down here).
@@ -51,13 +62,11 @@ struct PmConfig {
   /// traversal cursors — the pure re-descend-from-root baseline.
   std::size_t node_cache_bytes = std::size_t{4} << 20;
 
-  /// TEST HOOK (crash injection): when true, persist() returns right
-  /// after the merge — before flush_all() and the root swap — emulating
-  /// a process death mid-persist with fresh twins and parent relinks
-  /// still sitting unflushed in the crash simulator's write buffer. The
-  /// tree object is inconsistent afterwards and must be abandoned; only
+  /// TEST HOOK (crash injection): the point at which persist() returns
+  /// early, emulating a process death mid-persist. The tree object is
+  /// inconsistent afterwards and must be abandoned; only
   /// Device::simulate_crash + restore are meaningful.
-  bool crash_before_flush_for_test = false;
+  CrashPoint crash_for_test = CrashPoint::kNone;
 
   /// Keep a remote replica of V_{i-1} and ship deltas at each persist
   /// (§3.4 second scenario). Costs are modeled through cluster::LinkModel.

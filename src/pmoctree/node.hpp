@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 #include "common/morton.hpp"
@@ -90,9 +91,11 @@ enum NodeFlags : std::uint32_t {
   kNodeSubtreeDirty = 1u << 1,
   /// Child-presence bitmask: bit (8 + i) is set iff child[i] is non-null.
   /// Maintained by set_child, so is_leaf() and child iteration test one
-  /// word instead of scanning all 8 NodeRef slots. Any store that writes
-  /// a child slot back to the device must also write the flags word to
-  /// keep the durable mask coherent.
+  /// word instead of scanning all 8 NodeRef slots. It is the authority on
+  /// which slots hold refs: a read copies the link line only when the
+  /// mask is non-zero, so a leaf's link line is never read. Any store
+  /// that moves the mask must also write the flags word to keep the
+  /// durable mask coherent.
   kNodeChildMaskShift = 8,
   kNodeChildMask = 0xffu << kNodeChildMaskShift,
 };
@@ -100,16 +103,23 @@ enum NodeFlags : std::uint32_t {
 /// The octant record, identical layout in DRAM and NVBM so merging is a
 /// copy plus link fix-up. Trivially copyable by construction.
 ///
-/// 128 bytes, two cache lines: the locational code as one word (8), the
-/// child refs (64), the payload (48), then flags and epoch (8). Every
-/// modeled node access is charged for sizeof(PNode) bytes, so this size
-/// is what a C0 access, a node-cache hit and a serve node load cost. On
-/// NVBM each node fills one line-aligned heap slot, so a full node load
-/// or store spans exactly two lines as well.
+/// 128 bytes in two 64-byte lines, each holding what one kind of access
+/// needs:
+///  * the payload line [0, 64): the locational code as one word (8), the
+///    payload (48), then flags with the child-presence mask (4) and the
+///    epoch (4);
+///  * the link line [64, 128): the eight child refs.
+/// A read copies the payload line, and the link line only when the mask
+/// says the octant has children (load_node), so a leaf visit moves one
+/// line. A store writes only the lines whose bytes change: a data
+/// write-back the payload line, a relink that keeps the mask the link
+/// line, a children store the link line plus the flags word. Every
+/// modeled access is charged for the lines it copies. On NVBM each node
+/// fills one line-aligned heap slot, and C0 slots are 64-byte aligned,
+/// so each line of the layout is one host cache line in both tiers.
 struct PNode {
   /// LocCode::word() of the octant (the root's by default).
   std::uint64_t code_word = 1;
-  std::uint64_t child[kChildrenPerNode] = {};   ///< NodeRef bits
   CellData data;
   std::uint32_t flags = 0;
   /// Epoch (persist generation) in which this physical node was created.
@@ -118,6 +128,7 @@ struct PNode {
   /// the current epoch is private to V_i and may be updated in place
   /// (paper §3.2).
   std::uint32_t epoch = 0;
+  std::uint64_t child[kChildrenPerNode] = {};   ///< NodeRef bits
 
   LocCode code() const noexcept { return LocCode::from_word(code_word); }
   void set_code(const LocCode& c) noexcept { code_word = c.word(); }
@@ -144,16 +155,47 @@ struct PNode {
   bool deleted() const noexcept { return (flags & kNodeDeleted) != 0; }
 };
 
+/// Bytes of the payload line; the link line follows it.
+inline constexpr std::size_t kPayloadBytes = 64;
+
+/// Bytes a read of `node` copies: the payload line, plus the link line
+/// when the node has children.
+inline std::size_t read_bytes(const PNode& node) noexcept {
+  return node.is_leaf() ? kPayloadBytes : sizeof(PNode);
+}
+
+/// Reads the node image at `image` the way every read does: the payload
+/// line, then the link line only when the presence mask is non-zero. A
+/// leaf's refs come back null whatever its link line holds. The read is
+/// charged read_bytes() of the result.
+inline PNode load_node(const void* image) noexcept {
+  static constexpr std::uint64_t kNullLinks[kChildrenPerNode] = {};
+  const auto* src = static_cast<const std::byte*>(image);
+  // The link source is a select, not a branch: leaves and internal
+  // octants interleave in every traversal. Returning by value lets the
+  // two copies replace PNode's default initialization.
+  std::uint32_t flags;
+  std::memcpy(&flags, src + offsetof(PNode, flags), sizeof(flags));
+  const void* links = (flags & kNodeChildMask) == 0
+                          ? static_cast<const void*>(kNullLinks)
+                          : src + kPayloadBytes;
+  PNode out;
+  std::memcpy(static_cast<void*>(&out), src, kPayloadBytes);
+  std::memcpy(out.child, links, sizeof(out.child));
+  return out;
+}
+
 static_assert(std::is_trivially_copyable_v<PNode>);
 static_assert(sizeof(PNode) == nvbm::Heap::kSlotBytes,
               "a PNode fills one heap slot: exactly two 64 B lines");
-// The partial stores (pm_octree.cpp) write these fields in place: the
-// children array, one child slot, the data..epoch tail, the flags word,
-// and reclamation reads the epoch word alone.
+// load_node and the partial stores (pm_octree.cpp) address these fields
+// in place: the payload line [0, 64), the link line [64, 128), the flags
+// word, and reclamation reads the epoch word alone.
 static_assert(offsetof(PNode, code_word) == 0);
-static_assert(offsetof(PNode, child) == 8);
-static_assert(offsetof(PNode, data) == 72);
-static_assert(offsetof(PNode, flags) == 120);
-static_assert(offsetof(PNode, epoch) == 124);
+static_assert(offsetof(PNode, data) == 8);
+static_assert(offsetof(PNode, flags) == 56);
+static_assert(offsetof(PNode, epoch) == 60);
+static_assert(offsetof(PNode, child) == kPayloadBytes);
+static_assert(sizeof(PNode) == 2 * kPayloadBytes);
 
 }  // namespace pmo::pmoctree

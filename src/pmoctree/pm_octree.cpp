@@ -135,16 +135,16 @@ PmOctree PmOctree::restore(nvbm::Heap& heap, PmConfig config) {
 // node access layer
 // ---------------------------------------------------------------------------
 
-void PmOctree::charge_dram_read() {
+void PmOctree::charge_dram_read(std::size_t bytes) {
   ++dram_.reads;
-  const auto lines = lines_for(kNodeSize, config_.cache_line);
+  const auto lines = lines_for(bytes, config_.cache_line);
   dram_.lines_read += lines;
   dram_.modeled_read_ns += lines * config_.dram_read_ns;
 }
 
-void PmOctree::charge_dram_write() {
+void PmOctree::charge_dram_write(std::size_t bytes) {
   ++dram_.writes;
-  const auto lines = lines_for(kNodeSize, config_.cache_line);
+  const auto lines = lines_for(bytes, config_.cache_line);
   dram_.lines_written += lines;
   dram_.modeled_write_ns += lines * config_.dram_write_ns;
 }
@@ -161,8 +161,8 @@ void PmOctree::touch_heat(const LocCode& code, double amount) {
 PNode PmOctree::read_node(NodeRef ref) {
   PMO_DCHECK(!ref.null());
   if (ref.in_dram()) {
-    charge_dram_read();
-    const PNode node = *ref.dram_ptr();
+    const PNode node = load_node(ref.dram_ptr());
+    charge_dram_read(read_bytes(node));
     touch_heat(node.code(), 1.0);
     return node;
   }
@@ -172,15 +172,21 @@ PNode PmOctree::read_node(NodeRef ref) {
 }
 
 PNode PmOctree::nv_load(std::uint64_t offset) {
-  if (cache_.capacity() == 0) return device().load<PNode>(offset);
-  if (const PNode* hit = cache_.lookup(offset, epoch_)) {
+  const PNode* hit =
+      cache_.capacity() != 0 ? cache_.lookup(offset, epoch_) : nullptr;
+  const PNode node = load_node(
+      hit != nullptr ? static_cast<const void*>(hit)
+                     : device().raw(offset, kNodeSize));
+  if (hit != nullptr) {
     tm_.cache_hits->add();
-    device().charge_cached_read(kNodeSize);
-    return *hit;
+    device().charge_cached_read(read_bytes(node));
+    return node;
   }
-  tm_.cache_misses->add();
-  const PNode node = device().load<PNode>(offset);
-  if (cache_.insert(offset, node, epoch_)) tm_.cache_evictions->add();
+  device().touch_read(offset, read_bytes(node));
+  if (cache_.capacity() != 0) {
+    tm_.cache_misses->add();
+    if (cache_.insert(offset, node, epoch_)) tm_.cache_evictions->add();
+  }
   return node;
 }
 
@@ -216,7 +222,7 @@ void PmOctree::write_node(NodeRef ref, const PNode& node) {
   touch_heat(node.code(), 1.0);
   if (ref.in_dram()) {
     ++structure_version_;
-    charge_dram_write();
+    charge_dram_write(kNodeSize);
     *ref.dram_ptr() = node;
     return;
   }
@@ -225,51 +231,45 @@ void PmOctree::write_node(NodeRef ref, const PNode& node) {
 
 void PmOctree::write_back_data(PathEntry& e) {
   touch_heat(e.node.code(), 1.0);
+  // Only data/flags/epoch changed: the link line in either tier already
+  // holds these links (the node was either stored whole at its CoW
+  // allocation or was private with the same links).
   if (e.ref.in_dram()) {
     ++structure_version_;
-    charge_dram_write();
-    *e.ref.dram_ptr() = e.node;
+    charge_dram_write(kPayloadBytes);
+    std::memcpy(static_cast<void*>(e.ref.dram_ptr()), &e.node, kPayloadBytes);
     return;
   }
-  // Only data/flags/epoch changed; the code/children prefix on the
-  // device is already identical (the node was either stored whole at its
-  // CoW allocation or was private with the same links).
-  nv_store_partial(e.ref.nvbm_offset(), offsetof(PNode, data),
-                   sizeof(PNode) - offsetof(PNode, data), e.node);
+  nv_store_partial(e.ref.nvbm_offset(), 0, kPayloadBytes, e.node);
 }
 
-void PmOctree::write_back_child(NodeRef ref, const PNode& node, int ci) {
+void PmOctree::write_back_links(NodeRef ref, const PNode& node) {
   touch_heat(node.code(), 1.0);
   if (ref.in_dram()) {
     ++structure_version_;
-    charge_dram_write();
-    *ref.dram_ptr() = node;
+    charge_dram_write(sizeof(node.child));
+    std::memcpy(ref.dram_ptr()->child, node.child, sizeof(node.child));
     return;
   }
-  nv_store_partial(ref.nvbm_offset(),
-                   offsetof(PNode, child) + static_cast<std::size_t>(ci) * 8,
-                   8, node);
-  // The child-presence mask lives in the flags word: store it too so the
-  // durable mask tracks null<->non-null slot transitions.
-  nv_store_partial(ref.nvbm_offset(), offsetof(PNode, flags),
-                   sizeof(node.flags), node);
+  nv_store_partial(ref.nvbm_offset(), offsetof(PNode, child),
+                   sizeof(node.child), node);
 }
 
 void PmOctree::write_back_children(NodeRef ref, const PNode& node) {
   touch_heat(node.code(), 1.0);
+  // The child-presence mask lives in the flags word: store it with the
+  // links so the durable mask tracks null<->non-null slot transitions.
   if (ref.in_dram()) {
     ++structure_version_;
-    charge_dram_write();
-    *ref.dram_ptr() = node;
+    charge_dram_write(sizeof(node.child) + sizeof(node.flags));
+    std::memcpy(ref.dram_ptr()->child, node.child, sizeof(node.child));
+    ref.dram_ptr()->flags = node.flags;
     return;
   }
-  nv_store_children(ref.nvbm_offset(), node);
-}
-
-void PmOctree::nv_store_children(std::uint64_t offset, const PNode& node) {
-  nv_store_partial(offset, offsetof(PNode, child), sizeof(node.child), node);
-  // Child-slot changes move the presence mask in flags with them.
-  nv_store_partial(offset, offsetof(PNode, flags), sizeof(node.flags), node);
+  nv_store_partial(ref.nvbm_offset(), offsetof(PNode, child),
+                   sizeof(node.child), node);
+  nv_store_partial(ref.nvbm_offset(), offsetof(PNode, flags),
+                   sizeof(node.flags), node);
 }
 
 NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
@@ -282,7 +282,7 @@ NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
   if (prefer_dram && dram_bytes() < ceiling) {
     PNode* slot = take_dram_slot();
     *slot = proto;
-    charge_dram_write();
+    charge_dram_write(kNodeSize);
     c0_set_.insert(subtree_id(proto.code()));
     return NodeRef::dram(slot);
   }
@@ -294,7 +294,7 @@ NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
 
 PNode* PmOctree::take_dram_slot() {
   ++dram_node_count_;
-  if (dram_free_.empty()) return &dram_pool_.emplace_back();
+  if (dram_free_.empty()) return &dram_pool_.emplace_back().node;
   PNode* slot = dram_free_.back();
   dram_free_.pop_back();
   return slot;
@@ -388,14 +388,15 @@ bool PmOctree::descend(const LocCode& code, Path& path) {
     // memcpys and child-link chasing for the prefix.
     for (std::size_t i = 0; i < take; ++i) {
       const PathEntry& e = cur->path[i];
+      const std::size_t bytes = read_bytes(e.node);
       if (e.ref.in_dram()) {
-        charge_dram_read();
+        charge_dram_read(bytes);
       } else if (cache_.lookup(e.ref.nvbm_offset(), epoch_) != nullptr) {
         tm_.cache_hits->add();
-        device().charge_cached_read(kNodeSize);
+        device().charge_cached_read(bytes);
       } else {
         tm_.cache_misses->add();
-        device().touch_read(e.ref.nvbm_offset(), kNodeSize);
+        device().touch_read(e.ref.nvbm_offset(), bytes);
         if (cache_.insert(e.ref.nvbm_offset(), e.node, epoch_))
           tm_.cache_evictions->add();
       }
@@ -479,7 +480,7 @@ NodeRef PmOctree::make_mutable(Path& path, std::size_t i) {
   } else {
     auto& parent = path[i - 1];
     parent.node.set_child(code.child_index(), nref);
-    write_back_child(parent.ref, parent.node, code.child_index());
+    write_back_links(parent.ref, parent.node);
   }
   path[i].ref = nref;
   path[i].node = copy;
@@ -529,8 +530,7 @@ void PmOctree::for_each_node(
     const PNode node = read_node(ref);
     fn(node.code(), node.data, node.is_leaf());
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
     }
   }
 }
@@ -546,8 +546,7 @@ void PmOctree::for_each_node_ex(
     const PNode node = read_node(ref);
     fn(node.code(), node.data, node.is_leaf(), ref.in_dram());
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
     }
   }
 }
@@ -577,8 +576,7 @@ void PmOctree::extract_leaves_soa(std::vector<std::uint64_t>& keys,
       continue;
     }
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
     }
   }
 }
@@ -594,8 +592,7 @@ void PmOctree::for_each_leaf_from(
     const PNode node = read_node(ref);
     if (node.is_leaf()) fn(node.code(), node.data);
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
     }
   }
 }
@@ -646,12 +643,11 @@ void PmOctree::for_each_leaf_mut_pruned(
     // read — the child's code is derivable from the parent's.
     NodeRef child;
     while (c < kChildrenPerNode) {
-      const NodeRef candidate = path[i].node.child_ref(c);
       const int idx = c;
       ++c;
-      if (candidate.null()) continue;
+      if (!path[i].node.has_child(idx)) continue;
       if (!visit(path[i].node.code().child(idx))) continue;
-      child = candidate;
+      child = path[i].node.child_ref(idx);
       break;
     }
     if (child.null()) {
@@ -735,19 +731,14 @@ void PmOctree::update(const LocCode& code, const CellData& data) {
 
 std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
   if (ref.null()) return 0;
-  if (ref.in_dram()) {
-    const PNode node = *ref.dram_ptr();
+  PNode node = ref.in_dram() ? load_node(ref.dram_ptr())
+                             : nv_load(ref.nvbm_offset());
+  if (ref.in_dram() || node.epoch == epoch_) {
     std::size_t n = 1;
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      n += free_subtree(node.child_ref(i), tombstone_shared);
-    free_node(ref);
-    return n;
-  }
-  PNode node = nv_load(ref.nvbm_offset());
-  if (node.epoch == epoch_) {
-    std::size_t n = 1;
-    for (int i = 0; i < kChildrenPerNode; ++i)
-      n += free_subtree(node.child_ref(i), tombstone_shared);
+    for (int i = 0; i < kChildrenPerNode; ++i) {
+      if (node.has_child(i))
+        n += free_subtree(node.child_ref(i), tombstone_shared);
+    }
     free_node(ref);
     return n;
   }
@@ -759,8 +750,10 @@ std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
   // stay untouched. The children are recursed with tombstoning off.
   retire(ref.nvbm_offset(), node.epoch);
   std::size_t n = 1;
-  for (int i = 0; i < kChildrenPerNode; ++i)
-    n += free_subtree(node.child_ref(i), /*tombstone_shared=*/false);
+  for (int i = 0; i < kChildrenPerNode; ++i) {
+    if (node.has_child(i))
+      n += free_subtree(node.child_ref(i), /*tombstone_shared=*/false);
+  }
   if (tombstone_shared && !config_.gc_on_persist && !node.deleted()) {
     touch_heat(node.code(), 1.0);
     if (registry_->pin_count() != 0) {
@@ -787,7 +780,7 @@ void PmOctree::remove(const LocCode& code) {
   const std::size_t pi = path.size() - 2;
   make_mutable(path, pi);
   path[pi].node.set_child(code.child_index(), NodeRef{});
-  write_back_child(path[pi].ref, path[pi].node, code.child_index());
+  write_back_children(path[pi].ref, path[pi].node);
   logical_nodes_ -= free_subtree(doomed, /*tombstone_shared=*/true);
   ++topology_version_;
 }
@@ -829,9 +822,8 @@ void PmOctree::coarsen(const LocCode& parent_code) {
   PNode parent = path[pi].node;
   CellData acc{};
   for (int ci = 0; ci < kChildrenPerNode; ++ci) {
-    const NodeRef c = parent.child_ref(ci);
-    PMO_CHECK_MSG(!c.null(), "coarsen: missing child octant");
-    const PNode child = read_node(c);
+    PMO_CHECK_MSG(parent.has_child(ci), "coarsen: missing child octant");
+    const PNode child = read_node(parent.child_ref(ci));
     acc.vof += child.data.vof / kChildrenPerNode;
     acc.tracer += child.data.tracer / kChildrenPerNode;
     acc.u += child.data.u / kChildrenPerNode;
@@ -875,11 +867,11 @@ std::size_t PmOctree::coarsen_where(
     bool all_leaf = true;
     bool all_agree = true;
     for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (c.null()) {
+      if (!node.has_child(i)) {
         all_leaf = false;
         continue;
       }
+      const NodeRef c = node.child_ref(i);
       const PNode child = read_node(c);
       if (!child.is_leaf()) {
         all_leaf = false;
@@ -1011,6 +1003,7 @@ NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
     if (node.epoch != epoch_) return ref;  // shared subtree: all NVBM already
     bool changed = false;
     for (int i = 0; i < kChildrenPerNode; ++i) {
+      if (!node.has_child(i)) continue;
       const NodeRef c = node.child_ref(i);
       const NodeRef nc = nvbmify(c, moved);
       if (!(nc == c)) {
@@ -1018,15 +1011,17 @@ NodeRef PmOctree::nvbmify(NodeRef ref, std::size_t* moved) {
         changed = true;
       }
     }
-    if (changed) write_back_children(ref, node);
+    if (changed) write_back_links(ref, node);
     return ref;
   }
   // DRAM node: convert children first, then move the node itself out.
-  charge_dram_read();
-  PNode node = *ref.dram_ptr();
+  PNode node = load_node(ref.dram_ptr());
+  charge_dram_read(read_bytes(node));
   const bool clean = node.epoch != epoch_;
-  for (int i = 0; i < kChildrenPerNode; ++i)
-    node.set_child(i, nvbmify(node.child_ref(i), moved));
+  for (int i = 0; i < kChildrenPerNode; ++i) {
+    if (node.has_child(i))
+      node.set_child(i, nvbmify(node.child_ref(i), moved));
+  }
   // A clean octant whose children land exactly on its durable twin's
   // recorded children can be evicted by *linking the twin* — no new NVBM
   // object, no write (the common case when a cold C0 subtree is merged
@@ -1075,25 +1070,34 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
   if (ref.null()) return {ref, ref, false};
   if (ref.in_nvbm()) {
     ++stats.visits;
-    // Merge reads bypass the node cache: one charged device load each.
-    PNode node = device().load<PNode>(ref.nvbm_offset());
-    if (node.epoch != epoch_) {
+    // Merge reads bypass the node cache: one charged device load each. A
+    // shared octant is told by the epoch in its payload line, so it is
+    // charged that line alone.
+    const std::uint64_t off = ref.nvbm_offset();
+    const std::byte* image = device().raw(off, kNodeSize);
+    std::uint32_t born;
+    std::memcpy(&born, image + offsetof(PNode, epoch), sizeof(born));
+    if (born != epoch_) {
       // Shared with V_{i-1}. Invariant: a shared NVBM node never has DRAM
       // descendants (established by the split below at the persist that
       // made it shared, and structural changes CoW it private).
+      device().touch_read(off, kPayloadBytes);
       return {ref, ref, false};
     }
+    PNode node = load_node(image);
+    device().touch_read(off, read_bytes(node));
     // Private NVBM node: persist the children first.
     ++changed;
     MergeResult child_res[kChildrenPerNode];
     bool have_dram_child = false;
     for (int i = 0; i < kChildrenPerNode; ++i) {
+      if (!node.has_child(i)) continue;
       child_res[i] = persist_subtree(node.child_ref(i), stats, changed);
-      if (!child_res[i].wref.null() && child_res[i].wref.in_dram())
-        have_dram_child = true;
+      if (child_res[i].wref.in_dram()) have_dram_child = true;
     }
     if (!have_dram_child) {
-      // Whole subtree NVBM: this node serves both versions in place.
+      // Whole subtree NVBM: this node serves both versions in place. The
+      // relink keeps the mask, so it stores the link line alone.
       bool relink = false;
       for (int i = 0; i < kChildrenPerNode; ++i) {
         if (!(child_res[i].pref == node.child_ref(i))) {
@@ -1101,7 +1105,10 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
           relink = true;
         }
       }
-      if (relink) nv_store_children(ref.nvbm_offset(), node);
+      if (relink) {
+        nv_store_partial(off, offsetof(PNode, child), sizeof(node.child),
+                         node);
+      }
       return {ref, ref, true};  // created this epoch: new vs V_{i-1}
     }
     // This node sits above DRAM children: split it into a DRAM working
@@ -1117,24 +1124,25 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
     nv_store(twin_off, twin);
     PNode* slot = take_dram_slot();
     *slot = working;
-    charge_dram_write();
+    charge_dram_write(kNodeSize);
     twins_[slot] = twin_off;
-    nv_free(ref.nvbm_offset());
+    nv_free(off);
     ++stats.merged_from_dram;
     return {NodeRef::dram(slot), NodeRef::nvbm(twin_off), true};
   }
 
   // DRAM node.
-  charge_dram_read();
   PNode* ptr = ref.dram_ptr();
   const bool clean =
       ptr->epoch != epoch_ && (ptr->flags & kNodeSubtreeDirty) == 0;
   if (clean) {
     // Entirely-clean subtree: nothing under it mutated since its durable
     // twin was recorded, so the twin already IS its persisted image —
-    // skip the subtree in O(1). A skip is not a visit: `visits` counts
-    // octants the merge processes, `pruned_subtrees` counts the skips.
+    // skip the subtree in O(1), on its payload line alone. A skip is not
+    // a visit: `visits` counts octants the merge processes,
+    // `pruned_subtrees` counts the skips.
     if (const auto it = twins_.find(ptr); it != twins_.end()) {
+      charge_dram_read(kPayloadBytes);
       ++stats.pruned_subtrees;
       return {ref, NodeRef::nvbm(it->second), false};
     }
@@ -1143,20 +1151,23 @@ PmOctree::MergeResult PmOctree::persist_subtree(NodeRef ref,
   // Persist the children first, then decide whether the twin from the
   // previous persist can be reused.
   const bool dirty = ptr->epoch == epoch_;
-  PNode twin_content = *ptr;
+  PNode twin_content = load_node(ptr);
+  charge_dram_read(read_bytes(twin_content));
   bool child_changed = false;
   bool working_relink = false;
   for (int i = 0; i < kChildrenPerNode; ++i) {
-    const auto sub =
-        persist_subtree(twin_content.child_ref(i), stats, changed);
+    if (!twin_content.has_child(i)) continue;
+    const NodeRef c = twin_content.child_ref(i);
+    const auto sub = persist_subtree(c, stats, changed);
     twin_content.set_child(i, sub.pref);
     child_changed |= sub.changed;
-    if (!(sub.wref == ptr->child_ref(i))) {
+    if (!(sub.wref == c)) {
       ptr->set_child(i, sub.wref);
       working_relink = true;
     }
   }
-  if (working_relink) charge_dram_write();
+  // A relink keeps the mask: the link line alone.
+  if (working_relink) charge_dram_write(sizeof(ptr->child));
   // Visited: the summary bit has served its purpose for this epoch.
   ptr->flags &= ~kNodeSubtreeDirty;
   const auto twin = twins_.find(ptr);
@@ -1187,17 +1198,12 @@ void PmOctree::collect_census(NodeRef root, SampleCensus& census) {
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    PNode node;
-    if (ref.in_dram()) {
-      node = *ref.dram_ptr();
-    } else {
-      std::memcpy(&node, device().raw(ref.nvbm_offset(), kNodeSize),
-                  kNodeSize);
-    }
+    const PNode node =
+        load_node(ref.in_dram() ? static_cast<const void*>(ref.dram_ptr())
+                                : device().raw(ref.nvbm_offset(), kNodeSize));
     census_add(census, node.code(), node.data, ref.in_dram());
     for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
     }
   }
 }
@@ -1233,7 +1239,7 @@ PersistStats PmOctree::persist() {
 
   // Crash-injection hook: die here, with the merge's writes unflushed and
   // the durable root still pointing at V_{i-1}.
-  if (config_.crash_before_flush_for_test) return stats;
+  if (config_.crash_for_test == CrashPoint::kBeforeFlush) return stats;
 
   // 2. Make everything durable, then atomically swing the persistent root.
   //    This 8-byte update is the only ordering-critical write (§1).
@@ -1242,10 +1248,16 @@ PersistStats PmOctree::persist() {
   const NodeRef old_prev = prev_root_;
   // The node-count slot is advisory (restore() only reads it for the
   // telemetry baseline), so it goes first: a crash between the slot
-  // stores can misreport a statistic but never corrupt the tree.
+  // stores can misreport a statistic but never corrupt the tree. The
+  // epoch goes before the root: a crash between those two leaves a newer
+  // epoch over the older root, which restore() treats as shared from
+  // top to bottom (extra copy-on-write at worst). The other order would
+  // restore the new root under its own octants' epoch, and the first
+  // update would write the sealed version in place.
   heap_.set_root(kNodeCountSlot, logical_nodes_);
-  heap_.set_root(kPrevRootSlot, new_prev.nvbm_offset());
   heap_.set_root(kEpochSlot, epoch_);
+  if (config_.crash_for_test == CrashPoint::kBeforeRootSwap) return stats;
+  heap_.set_root(kPrevRootSlot, new_prev.nvbm_offset());
   telemetry::trace::instant(
       "pmoctree.version_swap", "pmoctree",
       {{"epoch", static_cast<double>(epoch_)},
@@ -1332,6 +1344,9 @@ PersistStats PmOctree::persist() {
     }
   }
 
+#ifndef NDEBUG
+  check_twins();
+#endif
   tm_.persists->add();
   tm_.merged_from_dram->add(stats.merged_from_dram);
   tm_.tombstoned->add(stats.tombstoned);
@@ -1350,6 +1365,16 @@ PersistStats PmOctree::persist() {
   return stats;
 }
 
+void PmOctree::check_twins() const {
+  std::unordered_set<std::uint64_t> offsets;
+  for (const auto& [slot, off] : twins_) {
+    PMO_CHECK_MSG(offsets.insert(off).second,
+                  "two C0 octants share twin offset " << off);
+    PMO_CHECK_MSG(heap_.is_allocated(off),
+                  "twin offset " << off << " is not an allocated slot");
+  }
+}
+
 void PmOctree::collect_reachable_nvbm(
     NodeRef root, std::unordered_set<std::uint64_t>& out) {
   if (root.null()) return;
@@ -1357,15 +1382,11 @@ void PmOctree::collect_reachable_nvbm(
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    if (ref.in_nvbm()) {
-      if (!out.insert(ref.nvbm_offset()).second) continue;
-    }
-    const PNode node = ref.in_dram()
-                           ? *ref.dram_ptr()
-                           : nv_load(ref.nvbm_offset());
+    if (ref.in_nvbm() && !out.insert(ref.nvbm_offset()).second) continue;
+    const PNode node = ref.in_dram() ? load_node(ref.dram_ptr())
+                                     : nv_load(ref.nvbm_offset());
     for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
     }
   }
 }
@@ -1391,8 +1412,8 @@ std::size_t PmOctree::process_deferred_tombstones(NodeRef new_prev) {
       PNode node = nv_load(ref.nvbm_offset());
       mark(ref.nvbm_offset(), node);
       for (int i = 0; i < kChildrenPerNode; ++i) {
+        if (!node.has_child(i)) continue;
         const NodeRef c = node.child_ref(i);
-        if (c.null()) continue;
         if (in_new.count(c.nvbm_offset()) == 0) stack.push_back(c);
       }
     }
@@ -1559,10 +1580,11 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
   if (ref.null()) return ref;
   if (*moved >= node_limit) return ref;
   if (ref.in_dram()) {
-    charge_dram_read();
-    PNode node = *ref.dram_ptr();
+    PNode node = load_node(ref.dram_ptr());
+    charge_dram_read(read_bytes(node));
     bool changed = false;
     for (int i = 0; i < kChildrenPerNode; ++i) {
+      if (!node.has_child(i)) continue;
       const NodeRef c = node.child_ref(i);
       const NodeRef nc = dramify(c, moved, node_limit);
       if (!(nc == c)) {
@@ -1570,7 +1592,7 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
         changed = true;
       }
     }
-    if (changed) write_node(ref, node);
+    if (changed) write_back_links(ref, node);
     return ref;
   }
   // NVBM node, pre-order: claim its C0 slot before any descendant's, so a
@@ -1589,10 +1611,12 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
     nv_free(ref.nvbm_offset());
   }
   ++(*moved);
-  for (int i = 0; i < kChildrenPerNode; ++i)
-    node.set_child(i, dramify(node.child_ref(i), moved, node_limit));
+  for (int i = 0; i < kChildrenPerNode; ++i) {
+    if (node.has_child(i))
+      node.set_child(i, dramify(node.child_ref(i), moved, node_limit));
+  }
   *slot = node;
-  charge_dram_write();
+  charge_dram_write(kNodeSize);
   return NodeRef::dram(slot);
 }
 
@@ -1611,8 +1635,7 @@ TransformStats PmOctree::maybe_transform() {
     const PNode node = read_node(ref);
     census_add(census, node.code(), node.data, ref.in_dram());
     for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
     }
   }
   return transform_with(census);
@@ -1685,7 +1708,7 @@ TransformStats PmOctree::transform_with(SampleCensus& buckets) {
       cur_root_ = nref;
     } else if (!(nref == path[i].ref)) {
       path[i - 1].node.set_child(id.child_index(), nref);
-      write_node(path[i - 1].ref, path[i - 1].node);
+      write_back_links(path[i - 1].ref, path[i - 1].node);
     }
     if (to_dram) {
       c0_set_.insert(id);
@@ -1739,8 +1762,8 @@ void PmOctree::enforce_dram_budget() {
     while (!stack.empty()) {
       const NodeRef ref = stack.back();
       stack.pop_back();
-      const PNode node =
-          ref.in_dram() ? *ref.dram_ptr() : load(ref.nvbm_offset());
+      const PNode node = ref.in_dram() ? load_node(ref.dram_ptr())
+                                       : load(ref.nvbm_offset());
       if (ref.in_dram()) {
         const LocCode code = node.code();
         if (code.level() >= lsub) ++counts[code.ancestor_at(lsub)];
@@ -1748,8 +1771,7 @@ void PmOctree::enforce_dram_budget() {
         continue;
       }
       for (int i = 0; i < kChildrenPerNode; ++i) {
-        const NodeRef c = node.child_ref(i);
-        if (!c.null()) stack.push_back(c);
+        if (node.has_child(i)) stack.push_back(node.child_ref(i));
       }
     }
     return counts;
@@ -1759,10 +1781,7 @@ void PmOctree::enforce_dram_budget() {
   // Debug: the pruned tally equals an uncharged walk of the whole tree.
   PMO_DCHECK(counts == tally(
                            [&](std::uint64_t off) {
-                             PNode n;
-                             std::memcpy(&n, device().raw(off, kNodeSize),
-                                         kNodeSize);
-                             return n;
+                             return load_node(device().raw(off, kNodeSize));
                            },
                            false));
   // Evict coldest first (the paper's least-frequently-accessed policy).
@@ -1786,7 +1805,7 @@ void PmOctree::enforce_dram_budget() {
       cur_root_ = nref;
     } else if (!(nref == path[i].ref)) {
       path[i - 1].node.set_child(id.child_index(), nref);
-      write_node(path[i - 1].ref, path[i - 1].node);
+      write_back_links(path[i - 1].ref, path[i - 1].node);
     }
     c0_set_.erase(id);
     if (moved > 0) {
@@ -1807,9 +1826,8 @@ PmStats PmOctree::stats() {
   while (!stack.empty()) {
     const NodeRef ref = stack.back();
     stack.pop_back();
-    const PNode node =
-        ref.in_dram() ? *ref.dram_ptr()
-                      : nv_load(ref.nvbm_offset());
+    const PNode node = ref.in_dram() ? load_node(ref.dram_ptr())
+                                     : nv_load(ref.nvbm_offset());
     ++s.nodes;
     if (node.is_leaf()) ++s.leaves;
     if (ref.in_dram()) {
@@ -1820,8 +1838,7 @@ PmStats PmOctree::stats() {
     }
     s.depth = std::max(s.depth, node.code().level());
     for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c);
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
     }
   }
   collect_reachable_nvbm(prev_root_, nvbm_union);

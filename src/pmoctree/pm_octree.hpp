@@ -284,11 +284,11 @@ class PmOctree {
   PmStats stats();
   const DramCounters& dram_counters() const noexcept { return dram_; }
   const PmConfig& config() const noexcept { return config_; }
-  /// Toggle for PmConfig::crash_before_flush_for_test on a live tree —
-  /// crash tests persist normally first, then arm the hook for the
-  /// persist they want to die inside.
-  void set_crash_before_flush_for_test(bool on) noexcept {
-    config_.crash_before_flush_for_test = on;
+  /// Sets PmConfig::crash_for_test on a live tree — crash tests persist
+  /// normally first, then arm the hook for the persist they want to die
+  /// inside.
+  void set_crash_for_test(CrashPoint at) noexcept {
+    config_.crash_for_test = at;
   }
   nvbm::Heap& heap() noexcept { return heap_; }
   nvbm::Device& device() noexcept { return heap_.device(); }
@@ -343,11 +343,13 @@ class PmOctree {
   /// counts it against the DRAM budget; the caller fills and charges it.
   PNode* take_dram_slot();
   void free_node(NodeRef ref);
-  void charge_dram_read();
-  void charge_dram_write();
+  /// C0 access charges: lines_for(bytes copied) at DRAM latency.
+  void charge_dram_read(std::size_t bytes);
+  void charge_dram_write(std::size_t bytes);
   void touch_heat(const LocCode& code, double amount);
-  /// Cache-aware NVBM node read: serves hits from the hot-node cache at
-  /// DRAM latency, admits misses. The descent path's only NVBM read.
+  /// Cache-aware NVBM node read through load_node: serves hits from the
+  /// hot-node cache at DRAM latency, admits misses. The descent path's
+  /// only NVBM read; hit or miss, it is charged for the lines it copies.
   PNode nv_load(std::uint64_t offset);
   /// NVBM node store with cache write-through. Every PNode store to the
   /// device MUST go through here (or write_node) to keep the cache
@@ -358,17 +360,13 @@ class PmOctree {
   /// cannot protect a cached copy.
   void nv_free(std::uint64_t offset);
   /// Partial NVBM node store: writes only [field_off, field_off+len) of
-  /// the node image (one child slot, the children array, the data..epoch
-  /// tail), charging the device for the touched lines only. Full-node
-  /// stores were the dominant write amplifier on the mutation path; every
-  /// partial-store site guarantees the untouched device bytes already
-  /// equal `full`'s, so the stored image is identical to a full store.
-  /// The cache stays coherent via a full-node update.
+  /// the node image (the payload line, the link line, the flags word),
+  /// charging the device for the touched lines only. Every partial-store
+  /// site guarantees the untouched device bytes the mask makes readable
+  /// already equal `full`'s, so every later read sees what a full store
+  /// would have left. The cache stays coherent via a full-node update.
   void nv_store_partial(std::uint64_t offset, std::size_t field_off,
                         std::size_t len, const PNode& full);
-  /// Partial store of the children array plus the flags word that
-  /// carries their presence mask.
-  void nv_store_children(std::uint64_t offset, const PNode& node);
 
   // placement --------------------------------------------------------------
   LocCode subtree_id(const LocCode& code) const;
@@ -419,16 +417,19 @@ class PmOctree {
   /// Makes path[i]'s node mutable in place (copy-on-write as needed),
   /// updating the path and parent links. Returns the (possibly new) ref.
   NodeRef make_mutable(Path& path, std::size_t i);
-  /// Write-back of a leaf-data mutation along a traversal path: DRAM in
-  /// place, NVBM via a data..epoch tail partial store (the code/children
-  /// prefix is unchanged by construction).
+  /// Write-back of a data mutation along a traversal path, in either
+  /// tier: the payload line alone (the link line is unchanged by
+  /// construction).
   void write_back_data(PathEntry& e);
-  /// Write-back of a single-child-slot relink (CoW parent fix-up, remove,
-  /// subtree replacement).
-  void write_back_child(NodeRef ref, const PNode& node, int ci);
-  /// Write-back of a children-array-only change (sibling-group creation,
-  /// refine, merge/eviction relinks).
+  /// Write-back of a relink that keeps the presence mask (CoW parent
+  /// fix-up, eviction and transformation relinks): the link line alone.
+  void write_back_links(NodeRef ref, const PNode& node);
+  /// Write-back of a children store that moves the mask (sibling-group
+  /// creation, refine, remove): the link line plus the flags word.
   void write_back_children(NodeRef ref, const PNode& node);
+  /// Debug invariant checked at the end of every persist: no two C0
+  /// octants share a twin offset, and every twin is an allocated slot.
+  void check_twins() const;
   /// Converts the whole subtree to NVBM residence (the eviction path of
   /// the merge routine: the DRAM copies are dropped).
   NodeRef nvbmify(NodeRef ref, std::size_t* moved);
@@ -528,7 +529,13 @@ class PmOctree {
   int eq1_span_;
   TelemetryCounters tm_;
 
-  std::deque<PNode> dram_pool_;
+  /// A C0 slot: one PNode on a 64-byte boundary, so its payload line is
+  /// one host cache line. Node-cache entries keep the unaligned PNode.
+  struct alignas(64) DramSlot {
+    PNode node;
+  };
+  static_assert(sizeof(DramSlot) == sizeof(PNode));
+  std::deque<DramSlot> dram_pool_;
   std::vector<PNode*> dram_free_;
   std::size_t dram_node_count_ = 0;
   /// Durable twin (NVBM offset) of each DRAM octant, recorded at the last

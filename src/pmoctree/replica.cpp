@@ -4,6 +4,16 @@
 
 namespace pmo::pmoctree {
 
+namespace {
+/// A charged node read through load_node: the payload line, plus the
+/// link line for an internal octant.
+PNode load(nvbm::Device& dev, std::uint64_t off) {
+  const PNode node = load_node(dev.raw(off, sizeof(PNode)));
+  dev.touch_read(off, read_bytes(node));
+  return node;
+}
+}  // namespace
+
 Delta ReplicaManager::extract(PmOctree& tree) {
   Delta delta;
   const NodeRef root = tree.previous_root();
@@ -19,10 +29,9 @@ Delta ReplicaManager::extract(PmOctree& tree) {
     const std::uint64_t off = stack.back();
     stack.pop_back();
     if (!now.insert(off).second) continue;
-    const PNode node = dev.load<PNode>(off);
+    const PNode node = load(dev, off);
     for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = node.child_ref(i);
-      if (!c.null()) stack.push_back(c.nvbm_offset());
+      if (node.has_child(i)) stack.push_back(node.child_ref(i).nvbm_offset());
     }
   }
 
@@ -30,7 +39,7 @@ Delta ReplicaManager::extract(PmOctree& tree) {
   // peer needs exactly (now - known) upserted and (known - now) dropped.
   for (const auto off : now) {
     if (known_.count(off) == 0)
-      delta.upserts.emplace_back(off, dev.load<PNode>(off));
+      delta.upserts.emplace_back(off, load(dev, off));
   }
   for (const auto off : known_) {
     if (now.count(off) == 0) delta.removals.push_back(off);
@@ -65,9 +74,8 @@ std::size_t ReplicaStore::restore_into(nvbm::Heap& heap) const {
   for (const auto& [old_off, node] : mirror_) {
     PNode moved = node;
     for (int i = 0; i < kChildrenPerNode; ++i) {
-      const NodeRef c = moved.child_ref(i);
-      if (c.null()) continue;
-      const auto it = relocation.find(c.nvbm_offset());
+      if (!moved.has_child(i)) continue;
+      const auto it = relocation.find(moved.child_ref(i).nvbm_offset());
       PMO_CHECK_MSG(it != relocation.end(),
                     "replica mirror misses a referenced octant");
       moved.set_child(i, NodeRef::nvbm(it->second));

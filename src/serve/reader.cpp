@@ -1,6 +1,6 @@
 #include "serve/reader.hpp"
 
-#include <cstring>
+#include <bit>
 #include <utility>
 
 #include "nvbm/device.hpp"
@@ -47,7 +47,7 @@ Reader::Reader(pmoctree::SnapshotHandle snap, ReaderConfig cfg)
   const bool timed = dc.latency_mode != nvbm::LatencyMode::kNone;
   read_ns_ = timed ? dc.read_ns : 0;
   dram_read_ns_ = timed ? dc.dram_read_ns : 0;
-  lines_per_node_ = (kNodeSize + dc.cache_line - 1) / dc.cache_line;
+  line_shift_ = std::countr_zero(dc.cache_line);  // a power of two
   auto& reg = telemetry::Registry::global();
   q_point_ = &reg.counter("serve.queries.point");
   q_box_ = &reg.counter("serve.queries.box");
@@ -69,28 +69,34 @@ void Reader::count_query(telemetry::Counter* c) {
   if (c != nullptr) c->add();
 }
 
+std::uint64_t Reader::lines(std::size_t bytes) const noexcept {
+  return ((bytes - 1) >> line_shift_) + 1;
+}
+
 pmoctree::PNode Reader::load(std::uint64_t offset) {
   const std::uint32_t stamp = snap_.epoch();
-  if (cache_.capacity() != 0) {
-    if (const pmoctree::PNode* hit = cache_.lookup(offset, stamp)) {
-      ++charges_.cached_loads;
-      charges_.modeled_ns += lines_per_node_ * dram_read_ns_;
-      return *hit;
-    }
-  }
-  pmoctree::PNode node;
+  const pmoctree::PNode* hit =
+      cache_.capacity() != 0 ? cache_.lookup(offset, stamp) : nullptr;
   // Device::raw is a bounds check + pointer: no counter mutation, so the
   // concurrent-reader contract holds. The pin guarantees the mutator
-  // never writes these bytes, making the memcpy race-free.
-  std::memcpy(&node, snap_.device().raw(offset, kNodeSize), kNodeSize);
+  // never writes these bytes, making the copy race-free.
+  const pmoctree::PNode node = pmoctree::load_node(
+      hit != nullptr ? static_cast<const void*>(hit)
+                     : snap_.device().raw(offset, kNodeSize));
+  const std::uint64_t n = lines(pmoctree::read_bytes(node));
+  if (hit != nullptr) {
+    ++charges_.cached_loads;
+    charges_.modeled_ns += n * dram_read_ns_;
+    return node;
+  }
   ++charges_.node_loads;
-  // Charged per-node, not per physical offset: an offset's line span
-  // depends on the allocation's alignment, and heap layout legitimately diverges
-  // between runs (GC timing vs live pins). The fixed ceil(node/line)
-  // charge keeps reader accounting a pure function of the query stream —
-  // the bench's bit-identity surface.
-  charges_.lines_read += lines_per_node_;
-  charges_.modeled_ns += lines_per_node_ * read_ns_;
+  // Charged for the lines load_node copies (one for a leaf, two for an
+  // internal octant), a function of the node's content, not of its
+  // offset: heap layout legitimately diverges between runs (GC timing vs
+  // live pins), and the charge must stay a pure function of the query
+  // stream — the bench's bit-identity surface.
+  charges_.lines_read += n;
+  charges_.modeled_ns += n * read_ns_;
   if (cache_.capacity() != 0) cache_.insert(offset, node, stamp);
   return node;
 }
@@ -106,9 +112,9 @@ Leaf Reader::locate(const LocCode& code) {
   int level = 0;
   while (!node.is_leaf() && level < code.level()) {
     const int next = code.ancestor_at(level + 1).child_index();
-    const pmoctree::NodeRef c = node.child_ref(next);
-    if (c.null()) break;  // partial sibling group: this node covers code
-    node = load(c.nvbm_offset());
+    // Partial sibling group: this node covers code.
+    if (!node.has_child(next)) break;
+    node = load(node.child_ref(next).nvbm_offset());
     ++level;
   }
   return {node.code(), node.data};
@@ -120,9 +126,8 @@ std::optional<CellData> Reader::find(const LocCode& code) {
   for (int level = 0; level < code.level(); ++level) {
     if (node.is_leaf()) return std::nullopt;
     const int next = code.ancestor_at(level + 1).child_index();
-    const pmoctree::NodeRef c = node.child_ref(next);
-    if (c.null()) return std::nullopt;
-    node = load(c.nvbm_offset());
+    if (!node.has_child(next)) return std::nullopt;
+    node = load(node.child_ref(next).nvbm_offset());
   }
   if (node.code_word == code.word()) return node.data;
   return std::nullopt;
@@ -152,11 +157,10 @@ std::size_t Reader::box_walk(const Box& box,
     // Children are pruned by their (computable) codes before loading, in
     // reverse so the pop order is Morton pre-order — deterministic.
     for (int i = kChildrenPerNode - 1; i >= 0; --i) {
-      const pmoctree::NodeRef c = node.child_ref(i);
-      if (c.null()) continue;
+      if (!node.has_child(i)) continue;
       const LocCode cc = code.child(i);
       if (box.intersects(cc.anchor(), cc.extent()))
-        stack.push_back(c.nvbm_offset());
+        stack.push_back(node.child_ref(i).nvbm_offset());
     }
   }
   return n;

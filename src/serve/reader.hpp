@@ -133,7 +133,10 @@ class Reader {
   std::uint64_t queries() const noexcept { return queries_; }
 
  private:
+  /// Reads a node through pmoctree::load_node, charging the lines it
+  /// copies: NVBM latency on a miss, DRAM latency on a private-cache hit.
   pmoctree::PNode load(std::uint64_t offset);
+  std::uint64_t lines(std::size_t bytes) const noexcept;
   pmoctree::PNode root();
   void count_query(telemetry::Counter* c);
   /// Uncounted box DFS shared by query_box / neighbors / interface.
@@ -146,7 +149,7 @@ class Reader {
   std::uint64_t queries_ = 0;
   std::uint64_t read_ns_ = 0;       ///< device NVBM per-line read latency
   std::uint64_t dram_read_ns_ = 0;  ///< device DRAM per-line read latency
-  std::size_t lines_per_node_ = 0;
+  int line_shift_ = 6;              ///< log2 of the device line size
   /// serve.queries.{point,box,neighbors,interface} — process-global,
   /// thread-safe relaxed adds, resolved once per Reader.
   telemetry::Counter* q_point_ = nullptr;

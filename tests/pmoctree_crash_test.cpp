@@ -121,7 +121,7 @@ void crash_during_merge(int seed, std::size_t dram_budget_bytes) {
     tree.persist();
     persisted = leaves_of(tree);
     mutate_randomly(tree, rng, 10);
-    tree.set_crash_before_flush_for_test(true);
+    tree.set_crash_for_test(CrashPoint::kBeforeFlush);
     tree.persist();
   }
   dev.simulate_crash(rng, rng.uniform());
@@ -142,6 +142,42 @@ TEST_P(CrashInjection, CrashDuringAllNvbmMergeKeepsOldVersion) {
   // merge writes no twins, so what the crash may tear is the unflushed
   // private NVBM octants the dying persist was about to seal.
   crash_during_merge(GetParam(), 0);
+}
+
+/// Dies inside persist() between the durable epoch store and the root
+/// swap, restores, updates a leaf, loses power with every line surviving
+/// and restores again. The epoch is stored first, so the first restore
+/// sees a newer epoch over the older root and copies the leaf on write:
+/// the second restore still reads the persisted 0.5. Were the root
+/// stored first, the restored root's octants would carry the restored
+/// epoch, the update would land in place and 0.9 would survive.
+TEST(RootSwapCrash, UpdateAfterTornRootTableKeepsThePersistedLeaf) {
+  nvbm::Device dev(64 << 20, crash_cfg());
+  PmConfig pm;
+  pm.dram_budget_bytes = 0;  // every octant, and every copy, on NVBM
+  const LocCode leaf = LocCode::root().child(3);
+  {
+    nvbm::Heap heap(dev);
+    auto tree = PmOctree::create(heap, pm);
+    tree.refine(LocCode::root());
+    tree.update(leaf, cell(0.5));
+    tree.persist();
+    tree.update(leaf, cell(0.5));  // a fresh copy, stamped with epoch 2
+    tree.set_crash_for_test(CrashPoint::kBeforeRootSwap);
+    tree.persist();
+  }
+  Rng rng(7);
+  dev.simulate_crash(rng, 1.0);
+  {
+    nvbm::Heap heap(dev);
+    auto tree = PmOctree::restore(heap, pm);
+    ASSERT_DOUBLE_EQ(tree.find(leaf)->vof, 0.5);
+    tree.update(leaf, cell(0.9));  // never persisted
+  }
+  dev.simulate_crash(rng, 1.0);
+  nvbm::Heap heap(dev);
+  auto back = PmOctree::restore(heap, pm);
+  EXPECT_DOUBLE_EQ(back.find(leaf)->vof, 0.5);
 }
 
 TEST_P(CrashInjection, RecoveryGcReclaimsOrphans) {

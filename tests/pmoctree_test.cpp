@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "pmoctree/api.hpp"
+#include "serve/reader.hpp"
 
 namespace pmo::pmoctree {
 namespace {
@@ -424,6 +428,286 @@ TEST(PmOctree, PersistCyclePublishesTelemetry) {
   EXPECT_EQ(delta.histogram("pmoctree.persist.merge")->count, 3u);
 }
 #endif
+
+
+// ---- node layout: a payload line and a link line ---------------------------
+
+/// Root split, then children 0 and 5 and grandchild 0.7 split: 4 internal
+/// octants and 29 leaves.
+void build_layout_tree(PmOctree& tree) {
+  tree.refine(LocCode::root());
+  tree.refine(LocCode::root().child(0));
+  tree.refine(LocCode::root().child(5));
+  tree.refine(LocCode::root().child(0).child(7));
+}
+constexpr std::uint64_t kLayoutLeaves = 29;
+constexpr std::uint64_t kLayoutInternal = 4;
+/// A visit copies a leaf's payload line and both lines of an internal
+/// octant.
+constexpr std::uint64_t kLayoutVisitLines =
+    kLayoutLeaves + 2 * kLayoutInternal;
+
+std::size_t count_leaves(PmOctree& tree) {
+  std::size_t n = 0;
+  tree.for_each_leaf([&](const LocCode&, const CellData&) { ++n; });
+  return n;
+}
+
+serve::Box whole_domain() {
+  serve::Box b;
+  for (int i = 0; i < 3; ++i) b.hi[i] = (std::uint32_t{1} << kMaxLevel) - 1;
+  return b;
+}
+
+TEST(NodeLayout, VisitChargesFollowLines) {
+  {
+    // C0: every octant in DRAM.
+    Fixture fx;
+    auto tree = PmOctree::create(fx.heap, fx.config);
+    build_layout_tree(tree);
+    ASSERT_EQ(tree.leaf_count(), kLayoutLeaves);
+    ASSERT_EQ(tree.node_count(), kLayoutLeaves + kLayoutInternal);
+    const auto dram = tree.dram_counters().lines_read;
+    const auto nvbm = fx.device.counters().lines_read;
+    EXPECT_EQ(count_leaves(tree), kLayoutLeaves);
+    EXPECT_EQ(tree.dram_counters().lines_read - dram, kLayoutVisitLines);
+    EXPECT_EQ(fx.device.counters().lines_read, nvbm);
+    // A leaf-data write-back in C0 writes its payload line alone.
+    const auto written = tree.dram_counters().lines_written;
+    tree.update(LocCode::root().child(3), cell(0.4));
+    EXPECT_EQ(tree.dram_counters().lines_written - written, 1u);
+  }
+  {
+    // NVBM with the node cache off: every visit reads the device.
+    PmConfig pm;
+    pm.dram_budget_bytes = 0;
+    pm.node_cache_bytes = 0;
+    Fixture fx(64 << 20, pm);
+    auto tree = PmOctree::create(fx.heap, pm);
+    build_layout_tree(tree);
+    const auto before = fx.device.counters();
+    EXPECT_EQ(count_leaves(tree), kLayoutLeaves);
+    EXPECT_EQ(fx.device.counters().lines_read - before.lines_read,
+              kLayoutVisitLines);
+    EXPECT_EQ(fx.device.counters().reads - before.reads,
+              kLayoutLeaves + kLayoutInternal);  // one read per octant
+    EXPECT_EQ(fx.device.counters().cached_lines, before.cached_lines);
+  }
+  {
+    // NVBM with the node cache on: a warm pass is served from the cache,
+    // charged per cached line.
+    PmConfig pm;
+    pm.dram_budget_bytes = 0;
+    Fixture fx(64 << 20, pm);
+    auto tree = PmOctree::create(fx.heap, pm);
+    build_layout_tree(tree);
+    count_leaves(tree);  // warm
+    const auto before = fx.device.counters();
+    EXPECT_EQ(count_leaves(tree), kLayoutLeaves);
+    EXPECT_EQ(fx.device.counters().cached_lines - before.cached_lines,
+              kLayoutVisitLines);
+    EXPECT_EQ(fx.device.counters().lines_read, before.lines_read);
+
+    // A whole-domain reader query over the sealed version charges the
+    // same lines, from the device and then from its private cache.
+    tree.persist();
+    serve::ReaderConfig uncached;
+    uncached.cache_bytes = 0;
+    serve::Reader cold(tree.pin_snapshot(), uncached);
+    EXPECT_EQ(cold.query_box(whole_domain(), [](const serve::Leaf&) {}),
+              kLayoutLeaves);
+    EXPECT_EQ(cold.charges().lines_read, kLayoutVisitLines);
+    EXPECT_EQ(cold.charges().modeled_ns,
+              kLayoutVisitLines * fx.device.config().read_ns);
+    serve::Reader warm(tree.pin_snapshot());
+    warm.query_box(whole_domain(), [](const serve::Leaf&) {});
+    const auto ns = warm.charges().modeled_ns;
+    warm.query_box(whole_domain(), [](const serve::Leaf&) {});
+    EXPECT_EQ(warm.charges().modeled_ns - ns,
+              kLayoutVisitLines * fx.device.config().dram_read_ns);
+  }
+  {
+    // NVBM stores: a CoW relink and a data write-back store one line
+    // each, a children store two (the link line and the flags word).
+    PmConfig pm;
+    pm.dram_budget_bytes = 0;
+    Fixture fx(64 << 20, pm);
+    auto tree = PmOctree::create(fx.heap, pm);
+    build_layout_tree(tree);
+    tree.persist();  // every octant is now shared with V_{i-1}
+    const LocCode a = LocCode::root().child(0).child(1);
+    const LocCode b = LocCode::root().child(0).child(2);
+    tree.update(a, cell(0.1));  // path-copies root and child 0
+    auto written = fx.device.counters().lines_written;
+    tree.update(b, cell(0.2));  // copies b alone under a private parent
+    EXPECT_EQ(fx.device.counters().lines_written - written,
+              2u /*copy*/ + 1u /*relink*/ + 1u /*data*/);
+    written = fx.device.counters().lines_written;
+    tree.update(b, cell(0.3));  // private now: in place
+    EXPECT_EQ(fx.device.counters().lines_written - written, 1u);
+    written = fx.device.counters().lines_written;
+    tree.refine(b);
+    EXPECT_EQ(fx.device.counters().lines_written - written,
+              kChildrenPerNode * 2u + 2u);
+  }
+}
+
+/// Odd, so a ref read from a poisoned link line names an NVBM offset far
+/// past the end of the device.
+constexpr std::uint64_t kPoison = 0x5a5a5a5a5a5a5a5bull;
+
+/// Fills the link line of every leaf reachable from `roots` with kPoison:
+/// C0 leaves through their pool pointers, NVBM leaves through Device::raw.
+void poison_leaf_links(nvbm::Device& dev,
+                       std::initializer_list<NodeRef> roots) {
+  std::vector<NodeRef> stack(roots);
+  while (!stack.empty()) {
+    const NodeRef ref = stack.back();
+    stack.pop_back();
+    if (ref.null()) continue;
+    std::byte* image = ref.in_dram()
+                           ? reinterpret_cast<std::byte*>(ref.dram_ptr())
+                           : dev.raw(ref.nvbm_offset(), sizeof(PNode));
+    PNode node;
+    std::memcpy(&node, image, sizeof(PNode));
+    if (node.is_leaf()) {
+      for (int i = 0; i < kChildrenPerNode; ++i) {
+        std::memcpy(image + offsetof(PNode, child) + 8 * i, &kPoison,
+                    sizeof(kPoison));
+      }
+      continue;
+    }
+    for (int i = 0; i < kChildrenPerNode; ++i) {
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
+    }
+  }
+}
+
+void log_cell(std::vector<std::uint64_t>& log, const CellData& d) {
+  for (const double v : {d.vof, d.tracer, d.u, d.v, d.w, d.pressure})
+    log.push_back(std::bit_cast<std::uint64_t>(v));
+}
+
+void log_leaves(std::vector<std::uint64_t>& log, PmOctree& tree) {
+  tree.for_each_leaf([&](const LocCode& c, const CellData& d) {
+    log.push_back(c.word());
+    log_cell(log, d);
+  });
+}
+
+void log_persist(std::vector<std::uint64_t>& log, const PersistStats& s) {
+  for (const std::uint64_t v :
+       {std::uint64_t{s.nodes_total}, std::uint64_t{s.nodes_shared},
+        std::uint64_t{s.merged_from_dram}, std::uint64_t{s.tombstoned},
+        std::uint64_t{s.gc_freed}, s.delta_bytes, std::uint64_t{s.visits},
+        std::uint64_t{s.pruned_subtrees}})
+    log.push_back(v);
+}
+
+void log_counters(std::vector<std::uint64_t>& log, PmOctree& tree) {
+  const auto& d = tree.dram_counters();
+  const auto& n = tree.device().counters();
+  for (const std::uint64_t v : {d.lines_read, d.lines_written, n.lines_read,
+                                n.lines_written, n.cached_lines})
+    log.push_back(v);
+}
+
+void log_reader(std::vector<std::uint64_t>& log, serve::Reader& r) {
+  const auto leaf = [&](const serve::Leaf& l) {
+    log.push_back(l.code.word());
+    log_cell(log, l.data);
+  };
+  log.push_back(r.query_box(whole_domain(), leaf));
+  const LocCode deep = LocCode::from_grid(4, 3, 9, 12);
+  leaf(r.locate(deep));
+  log.push_back(r.find(LocCode::root().child(2)).has_value());
+  log.push_back(r.face_neighbors(r.locate(deep).code, leaf));
+  log.push_back(r.interface_facets(
+      whole_domain(), [&](const serve::InterfaceFacet& f) {
+        log.push_back(f.fine.code.word());
+        log.push_back(f.coarse.code.word());
+      }));
+  log.push_back(r.charges().lines_read);
+  log.push_back(r.charges().modeled_ns);
+}
+
+/// Sweeps, refine/coarsen, balance, persists, reader queries, gc() and a
+/// restart over a mixed-residence tree; with `poison`, every leaf's link
+/// line is poisoned between the phases. Returns everything observed.
+std::vector<std::uint64_t> layout_scenario(bool poison) {
+  nvbm::Device dev(64 << 20, dev_cfg());
+  PmConfig pm;
+  pm.dram_budget_bytes = 40 * sizeof(PNode);  // C0 and NVBM leaves both
+  pm.gc_on_persist = false;  // tombstones and explicit gc() too
+  std::vector<std::uint64_t> log;
+  {
+    nvbm::Heap heap(dev);
+    auto tree = PmOctree::create(heap, pm);
+    const auto poison_all = [&] {
+      if (poison)
+        poison_leaf_links(dev, {tree.current_root(), tree.previous_root()});
+    };
+    tree.refine_where(
+        [](const LocCode& c, const CellData&) { return c.level() < 2; });
+    int k = 0;
+    tree.for_each_leaf_mut([&](const LocCode& c, CellData& d) {
+      d.vof = (++k % 7) / 7.0;
+      d.tracer = c.level();
+      return true;
+    });
+    log_persist(log, tree.persist());
+    poison_all();
+    tree.for_each_leaf_mut([](const LocCode&, CellData& d) {
+      if (d.vof <= 0.5) return false;
+      d.tracer += 1.0;
+      return true;
+    });
+    tree.for_each_leaf_mut_pruned(
+        [](const LocCode& c) { return c.child_index() % 2 == 0; },
+        [](const LocCode&, CellData& d) {
+          d.u += 0.25;
+          return true;
+        });
+    poison_all();
+    log.push_back(tree.refine_where([](const LocCode& c, const CellData& d) {
+      return c.level() < 4 && d.vof > 0.6;
+    }));
+    poison_all();
+    log.push_back(tree.coarsen_where(
+        [](const LocCode&, const CellData& d) { return d.vof < 0.2; }));
+    poison_all();
+    log.push_back(tree.balance());
+    log_leaves(log, tree);
+    log_persist(log, tree.persist());
+    poison_all();
+    tree.insert(LocCode::from_grid(3, 1, 2, 3), cell(0.75));
+    {
+      serve::Reader reader(tree.pin_snapshot());
+      log_reader(log, reader);
+    }
+    log.push_back(tree.gc());
+    poison_all();
+    log_persist(log, tree.persist());
+    log_counters(log, tree);
+    poison_all();
+  }
+  nvbm::Heap heap(dev);
+  auto back = PmOctree::restore(heap, pm);
+  log_leaves(log, back);
+  back.insert(LocCode::from_grid(3, 6, 5, 4), cell(0.5));
+  log_persist(log, back.persist());  // the recovery gc()
+  log_leaves(log, back);
+  log_counters(log, back);
+  return log;
+}
+
+TEST(NodeLayout, LeafLinkLineIsNeverRead) {
+  const auto clean = layout_scenario(false);
+  const auto poisoned = layout_scenario(true);
+  ASSERT_EQ(clean.size(), poisoned.size());
+  for (std::size_t i = 0; i < clean.size(); ++i)
+    ASSERT_EQ(clean[i], poisoned[i]) << "first difference at entry " << i;
+}
 
 }  // namespace
 }  // namespace pmo::pmoctree
