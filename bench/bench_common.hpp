@@ -74,8 +74,8 @@ inline long long bench_node_cache_env() {
   return -1;
 }
 
-/// Effective hot-node-cache budget (bytes; 0 = cache and cursors off) the
-/// PM bundles of this bench run with. Recorded in the JSON config block.
+/// Effective hot-node-cache budget (bytes; 0 = cache off) the PM bundles
+/// of this bench run with. Recorded in the JSON config block.
 inline std::size_t bench_node_cache() {
   const long long v = bench_node_cache_env();
   return v >= 0 ? static_cast<std::size_t>(v)

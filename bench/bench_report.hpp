@@ -63,7 +63,7 @@ class BenchReport {
   /// measurement-phase concurrency (see bench_threads(); flag beats
   /// PMOCTREE_BENCH_THREADS). `--node-cache` sets the PM-octree hot-node
   /// cache budget for every PM bundle (flag beats
-  /// PMOCTREE_BENCH_NODE_CACHE; "off" = 0 = re-descend baseline).
+  /// PMOCTREE_BENCH_NODE_CACHE; "off" = 0 = cache-off baseline).
   BenchReport(std::string name, std::string title, int argc = 0,
               char** argv = nullptr)
       : name_(std::move(name)),

@@ -170,9 +170,12 @@ int main(int argc, char** argv) {
   slo_ns = std::max<std::uint64_t>(1, slo_ns);
   report.print_header();
   telemetry::trace::name_current_thread("bench");
-  // Live-phase numbers (latency, staleness, reclamation) are wall-clock
-  // racy by design — tell benchdiff not to exact-match modeled counters.
-  report.set_modeled_exact(false);
+  // Live-phase numbers (latency, staleness) are wall-clock racy by design.
+  // The modeled counters are too once readers run beside the mutator: a
+  // reader pin that overlaps a persist defers reclamation. With one
+  // thread run_tasks runs the mutator to completion before any reader,
+  // so no pin overlaps a persist and benchdiff may exact-match them.
+  report.set_modeled_exact(bench_threads() == 1);
 
   const double scale = bench_scale();
   const int steps = std::max(3, static_cast<int>(40 * std::min(1.0, scale)));

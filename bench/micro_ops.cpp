@@ -245,40 +245,86 @@ BENCHMARK(BM_DeviceFlushCoalesced)
     ->Arg(4096)
     ->ArgNames({"stride"});
 
+/// A uniform 4096-leaf PM-octree in one tier: 0 = every octant in C0;
+/// 1 = on NVBM (C0 budget 0), node cache off; 2 = on NVBM, node cache on.
+struct TierTree {
+  static pmoctree::PmConfig config(std::int64_t tier) {
+    pmoctree::PmConfig pm;
+    if (tier != 0) pm.dram_budget_bytes = 0;
+    if (tier == 1) pm.node_cache_bytes = 0;
+    return pm;
+  }
+  explicit TierTree(std::int64_t tier)
+      : tree(pmoctree::PmOctree::create(heap, config(tier))) {
+    for (int l = 0; l < 4; ++l)
+      tree.refine_where([](const LocCode&, const CellData&) { return true; });
+  }
+  /// Every line a read is charged: DRAM, NVBM and cached.
+  std::uint64_t lines_read() const {
+    return tree.dram_counters().lines_read + dev.counters().lines_read +
+           dev.counters().cached_lines;
+  }
+  nvbm::Device dev{std::size_t{1} << 30, bench::device_config()};
+  nvbm::Heap heap{dev};
+  pmoctree::PmOctree tree;
+};
+
 void BM_PmTraverseLeaves(benchmark::State& state) {
-  // A full leaf visit of a uniform 4096-leaf tree in one tier: 0 = every
-  // octant in C0; 1 = on NVBM (C0 budget 0), node cache off; 2 = on NVBM,
-  // node cache on (warmed before timing). Host cost is the time per
-  // iteration over 4096 leaves; lines_per_leaf is the modeled cost, the
-  // DRAM, NVBM and cached lines the visit is charged.
-  const auto tier = state.range(0);
-  nvbm::Device dev(std::size_t{1} << 30, bench::device_config());
-  nvbm::Heap heap(dev);
-  pmoctree::PmConfig pm;
-  if (tier != 0) pm.dram_budget_bytes = 0;
-  if (tier == 1) pm.node_cache_bytes = 0;
-  auto tree = pmoctree::PmOctree::create(heap, pm);
-  for (int l = 0; l < 4; ++l)
-    tree.refine_where([](const LocCode&, const CellData&) { return true; });
+  // A full leaf visit of the TierTree of state.range(0), warmed before
+  // timing. Host cost is the time per iteration over 4096 leaves;
+  // lines_per_leaf is the modeled cost, the lines the visit is charged.
+  TierTree t(state.range(0));
   const auto visit = [&] {
     std::size_t n = 0;
-    tree.for_each_leaf([&](const LocCode&, const CellData&) { ++n; });
+    t.tree.for_each_leaf([&](const LocCode&, const CellData&) { ++n; });
     return n;
   };
   visit();  // warm the node cache
-  const auto lines = [&] {
-    return tree.dram_counters().lines_read + dev.counters().lines_read +
-           dev.counters().cached_lines;
-  };
-  const auto before = lines();
+  const auto before = t.lines_read();
   for (auto _ : state) benchmark::DoNotOptimize(visit());
   const double leaves = static_cast<double>(state.iterations()) * 4096.0;
   state.counters["lines_per_leaf"] = benchmark::Counter(
-      leaves == 0 ? 0.0 : static_cast<double>(lines() - before) / leaves);
+      leaves == 0 ? 0.0
+                  : static_cast<double>(t.lines_read() - before) / leaves);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * 4096));
 }
 BENCHMARK(BM_PmTraverseLeaves)->Arg(0)->Arg(1)->Arg(2)->ArgNames({"tier"});
+
+void BM_PmDescend(benchmark::State& state) {
+  // sample() on every leaf of the TierTree of state.range(0): one root
+  // descent per leaf, in Morton order (shuffled = 0) or in a fixed
+  // shuffle (shuffled = 1), warmed before timing. Host cost is the time
+  // per iteration over 4096 descents; lines_per_descent is the modeled
+  // cost.
+  TierTree t(state.range(0));
+  std::vector<LocCode> leaves;
+  t.tree.for_each_leaf(
+      [&](const LocCode& c, const CellData&) { leaves.push_back(c); });
+  if (state.range(1) != 0) {
+    Rng rng(23);
+    for (std::size_t i = leaves.size(); i > 1; --i)
+      std::swap(leaves[i - 1], leaves[rng.below(i)]);
+  }
+  const auto descend_all = [&] {
+    double sum = 0.0;
+    for (const LocCode& c : leaves) sum += t.tree.sample(c).vof;
+    return sum;
+  };
+  descend_all();  // warm the node cache
+  const auto before = t.lines_read();
+  for (auto _ : state) benchmark::DoNotOptimize(descend_all());
+  const double descents =
+      static_cast<double>(state.iterations() * leaves.size());
+  state.counters["lines_per_descent"] = benchmark::Counter(
+      descents == 0 ? 0.0
+                    : static_cast<double>(t.lines_read() - before) / descents);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * leaves.size()));
+}
+BENCHMARK(BM_PmDescend)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgNames({"tier", "shuffled"});
 
 void BM_SnapshotPinUnpin(benchmark::State& state) {
   nvbm::Device dev(std::size_t{256} << 20, bench::device_config());

@@ -14,9 +14,8 @@ pmoctree::PmConfig dram_only_config() {
   pm.enable_transform = false;
   pm.gc_on_persist = false;
   // No NVBM-resident octants -> the hot-node cache would never hit; keep
-  // it (and the traversal cursors) off so this baseline emits no
-  // pmoctree.cache/cursor telemetry that could be mistaken for the
-  // PM-octree under test.
+  // it off so this baseline emits no pmoctree.cache telemetry that could
+  // be mistaken for the PM-octree under test.
   pm.node_cache_bytes = 0;
   return pm;
 }

@@ -6,7 +6,6 @@ namespace pmo::exec {
 
 namespace {
 
-thread_local int t_context_id = 0;
 // True while the current thread is executing a parallel_for task (or the
 // caller's inline share of one) — the nesting guard is process-wide on
 // purpose: a task of pool A fanning out on pool B deadlocks just as
@@ -25,15 +24,13 @@ int hardware_threads() noexcept {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-int context_id() noexcept { return t_context_id; }
-
 bool in_parallel_task() noexcept { return t_in_parallel_for; }
 
 ThreadPool::ThreadPool(int threads) {
   if (threads == 0) threads = hardware_threads();
   workers_.reserve(static_cast<std::size_t>(threads > 0 ? threads - 1 : 0));
   for (int w = 1; w < threads; ++w) {
-    workers_.emplace_back([this, w] { worker_main(w); });
+    workers_.emplace_back([this] { worker_main(); });
   }
 }
 
@@ -63,8 +60,7 @@ void ThreadPool::drain(const IndexFn& fn, std::size_t end) {
   }
 }
 
-void ThreadPool::worker_main(int ctx_id) {
-  t_context_id = ctx_id;
+void ThreadPool::worker_main() {
   std::uint64_t seen = 0;
   for (;;) {
     const IndexFn* fn = nullptr;

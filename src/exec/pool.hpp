@@ -2,16 +2,15 @@
 //
 // The paper's §5.1 evaluation names a "multi-threaded octree"; this is the
 // repo's execution layer for that: a fixed worker team created once, one
-// `parallel_for` primitive over [0, n) index ranges, per-worker context
-// ids, and first-exception propagation. Deliberately not a task graph —
-// no futures, no work stealing, no nesting. Deterministic decomposition
-// is the caller's contract: indices are handed out dynamically, so a
-// correct caller writes results only to per-index (or per-chunk) slots
-// and never lets the outcome depend on which worker ran an index or in
-// what order. ClusterSim (concurrent rank replicas) and the droplet
-// solver's chunked stencil gather (amr/mesh_backend.hpp) are the two
-// in-tree users; both keep their results bit-identical across thread
-// counts by construction.
+// `parallel_for` primitive over [0, n) index ranges, and first-exception
+// propagation. Deliberately not a task graph — no futures, no work
+// stealing, no nesting. Deterministic decomposition is the caller's
+// contract: indices are handed out dynamically, so a correct caller
+// writes results only to per-index (or per-chunk) slots and never lets
+// the outcome depend on which worker ran an index or in what order.
+// ClusterSim (concurrent rank replicas) and the droplet solver's chunked
+// stencil gather (amr/mesh_backend.hpp) are the two in-tree users; both
+// keep their results bit-identical across thread counts by construction.
 #pragma once
 
 #include <atomic>
@@ -29,12 +28,6 @@ namespace pmo::exec {
 /// Usable hardware concurrency, always >= 1 (hardware_concurrency() is
 /// allowed to report 0 when unknown).
 int hardware_threads() noexcept;
-
-/// Context id of the calling thread: 0 on the coordinating thread (and on
-/// any thread outside a pool), 1..threads-1 on pool workers. Stable for a
-/// worker's lifetime, so per-context scratch buffers can be indexed by it
-/// without synchronization.
-int context_id() noexcept;
 
 /// True while the calling thread is executing a parallel_for task (or the
 /// caller's inline share of one). Lets layered components that would fan
@@ -82,7 +75,7 @@ class ThreadPool {
   void run_tasks(const std::vector<Task>& tasks);
 
  private:
-  void worker_main(int ctx_id);
+  void worker_main();
   /// Claims and runs indices until the job is exhausted or cancelled.
   void drain(const IndexFn& fn, std::size_t end);
 

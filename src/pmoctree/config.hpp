@@ -58,8 +58,8 @@ struct PmConfig {
   /// DRAM budget (bytes) of the epoch-validated hot-node cache on the
   /// descent read path: NVBM-resident octants read via the node accessor
   /// are kept in DRAM and served at DRAM latency until invalidated by the
-  /// CoW epoch rule (see DESIGN.md §8). 0 disables the cache AND the
-  /// traversal cursors — the pure re-descend-from-root baseline.
+  /// CoW epoch rule (see DESIGN.md §8). 0 disables the cache: every
+  /// descent then reads each octant on its path from the medium.
   std::size_t node_cache_bytes = std::size_t{4} << 20;
 
   /// TEST HOOK (crash injection): the point at which persist() returns

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <functional>
 
-#include "exec/pool.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
@@ -55,7 +54,6 @@ PmOctree::PmOctree(nvbm::Heap& heap, PmConfig config)
   tm_.cache_misses = &reg.counter("pmoctree.cache.misses");
   tm_.cache_evictions = &reg.counter("pmoctree.cache.evictions");
   tm_.cache_invalidations = &reg.counter("pmoctree.cache.invalidations");
-  tm_.cursor_lca_reuse = &reg.counter("pmoctree.cursor.lca_reuse");
   tm_.persist_visits = &reg.counter("pmoctree.persist.visits");
   tm_.persist_pruned = &reg.counter("pmoctree.persist.pruned_subtrees");
   registry_ = std::make_shared<SnapshotRegistry>();
@@ -191,7 +189,6 @@ PNode PmOctree::nv_load(std::uint64_t offset) {
 }
 
 void PmOctree::nv_store(std::uint64_t offset, const PNode& node) {
-  ++structure_version_;
   // The dirty-subtree summary bit is DRAM-only bookkeeping: strip it from
   // every byte that reaches the device so the persisted image is a pure
   // function of tree content, independent of mutation history.
@@ -203,7 +200,6 @@ void PmOctree::nv_store(std::uint64_t offset, const PNode& node) {
 
 void PmOctree::nv_store_partial(std::uint64_t offset, std::size_t field_off,
                                 std::size_t len, const PNode& full) {
-  ++structure_version_;
   PNode clean = full;
   clean.flags &= ~kNodeSubtreeDirty;
   device().write(offset + field_off,
@@ -212,7 +208,6 @@ void PmOctree::nv_store_partial(std::uint64_t offset, std::size_t field_off,
 }
 
 void PmOctree::nv_free(std::uint64_t offset) {
-  ++structure_version_;
   if (cache_.invalidate(offset)) tm_.cache_invalidations->add();
   heap_.free(offset);
 }
@@ -221,7 +216,6 @@ void PmOctree::write_node(NodeRef ref, const PNode& node) {
   PMO_DCHECK(!ref.null());
   touch_heat(node.code(), 1.0);
   if (ref.in_dram()) {
-    ++structure_version_;
     charge_dram_write(kNodeSize);
     *ref.dram_ptr() = node;
     return;
@@ -235,7 +229,6 @@ void PmOctree::write_back_data(PathEntry& e) {
   // holds these links (the node was either stored whole at its CoW
   // allocation or was private with the same links).
   if (e.ref.in_dram()) {
-    ++structure_version_;
     charge_dram_write(kPayloadBytes);
     std::memcpy(static_cast<void*>(e.ref.dram_ptr()), &e.node, kPayloadBytes);
     return;
@@ -246,7 +239,6 @@ void PmOctree::write_back_data(PathEntry& e) {
 void PmOctree::write_back_links(NodeRef ref, const PNode& node) {
   touch_heat(node.code(), 1.0);
   if (ref.in_dram()) {
-    ++structure_version_;
     charge_dram_write(sizeof(node.child));
     std::memcpy(ref.dram_ptr()->child, node.child, sizeof(node.child));
     return;
@@ -260,7 +252,6 @@ void PmOctree::write_back_children(NodeRef ref, const PNode& node) {
   // The child-presence mask lives in the flags word: store it with the
   // links so the durable mask tracks null<->non-null slot transitions.
   if (ref.in_dram()) {
-    ++structure_version_;
     charge_dram_write(sizeof(node.child) + sizeof(node.flags));
     std::memcpy(ref.dram_ptr()->child, node.child, sizeof(node.child));
     ref.dram_ptr()->flags = node.flags;
@@ -274,7 +265,6 @@ void PmOctree::write_back_children(NodeRef ref, const PNode& node) {
 
 NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
   note_depth(proto.code().level());
-  ++structure_version_;
   // Hard cap at the overflow ceiling; the placement policies already
   // enforce the tighter budget/designation rules.
   const auto ceiling = static_cast<std::size_t>(
@@ -302,7 +292,6 @@ PNode* PmOctree::take_dram_slot() {
 
 void PmOctree::free_node(NodeRef ref) {
   PMO_DCHECK(!ref.null());
-  ++structure_version_;
   if (ref.in_dram()) {
     if (const auto it = twins_.find(ref.dram_ptr()); it != twins_.end()) {
       retire(it->second, 0);
@@ -355,80 +344,17 @@ bool PmOctree::place_cow(const LocCode& code) const {
 // structural helpers
 // ---------------------------------------------------------------------------
 
-PmOctree::Cursor* PmOctree::cursor() {
-  if (cache_.capacity() == 0) return nullptr;  // cursor layer rides the knob
-  const auto ctx = static_cast<std::size_t>(exec::context_id());
-  if (ctx >= cursors_.size()) cursors_.resize(ctx + 1);
-  return &cursors_[ctx];
-}
-
 bool PmOctree::descend(const LocCode& code, Path& path) {
   path.clear();
   PMO_CHECK_MSG(!cur_root_.null(), "tree has been destroyed");
-
-  Cursor* cur = cursor();
-  std::size_t reused = 0;
-  if (cur != nullptr && cur->stamp == epoch_ &&
-      cur->version == structure_version_ && !cur->path.empty() &&
-      cur->path[0].ref == cur_root_) {
-    // Longest common ancestor of the cursor's code and the probe: the
-    // deepest level at which both codes name the same octant, computed
-    // from the codes alone — no tree reads.
-    const LocCode prev = cur->path.back().node.code();
-    int lca = std::min(code.level(), prev.level());
-    while (lca > 0 &&
-           !(code.ancestor_at(lca).key() == prev.ancestor_at(lca).key()))
-      --lca;
-    const std::size_t take =
-        std::min(cur->path.size(), static_cast<std::size_t>(lca) + 1);
-    // Reuse the shared prefix. Which ops share a cursor depends on worker
-    // scheduling, so reuse must be modeled-charge TRANSPARENT: each entry
-    // performs exactly the accounting and cache side effects a fresh
-    // read_node would. What it skips is the real work — the device/pool
-    // memcpys and child-link chasing for the prefix.
-    for (std::size_t i = 0; i < take; ++i) {
-      const PathEntry& e = cur->path[i];
-      const std::size_t bytes = read_bytes(e.node);
-      if (e.ref.in_dram()) {
-        charge_dram_read(bytes);
-      } else if (cache_.lookup(e.ref.nvbm_offset(), epoch_) != nullptr) {
-        tm_.cache_hits->add();
-        device().charge_cached_read(bytes);
-      } else {
-        tm_.cache_misses->add();
-        device().touch_read(e.ref.nvbm_offset(), bytes);
-        if (cache_.insert(e.ref.nvbm_offset(), e.node, epoch_))
-          tm_.cache_evictions->add();
-      }
-      touch_heat(e.node.code(), 1.0);
-      path.push_back(e);
-    }
-    reused = take;
-  }
-
-  if (path.empty()) path.push_back({cur_root_, read_node(cur_root_)});
-  bool found = true;
-  for (int level = static_cast<int>(path.size()); level <= code.level();
-       ++level) {
-    const int idx = code.ancestor_at(level).child_index();
-    const NodeRef child = path.back().node.child_ref(idx);
-    if (child.null()) {
-      found = false;
-      break;
-    }
+  path.push_back({cur_root_, read_node(cur_root_)});
+  for (int level = 1; level <= code.level(); ++level) {
+    const NodeRef child =
+        path.back().node.child_ref(code.ancestor_at(level).child_index());
+    if (child.null()) return false;
     path.push_back({child, read_node(child)});
   }
-
-  if (reused > 0) {
-    tm_.cursor_lca_reuse->add(reused);
-    cursor_reuse_ += reused;
-  }
-  if (cur != nullptr) {
-    cur->path = path;
-    cur->stamp = epoch_;
-    cur->version = structure_version_;
-  }
-  return found;
+  return true;
 }
 
 void PmOctree::mark_dirty_path(Path& path, std::size_t i) {
@@ -1357,8 +1283,7 @@ PersistStats PmOctree::persist() {
       {{"hits", static_cast<double>(cache_.stats().hits)},
        {"misses", static_cast<double>(cache_.stats().misses)},
        {"evictions", static_cast<double>(cache_.stats().evictions)},
-       {"invalidations", static_cast<double>(cache_.stats().invalidations)},
-       {"cursor_reuse", static_cast<double>(cursor_reuse_)}});
+       {"invalidations", static_cast<double>(cache_.stats().invalidations)}});
   // Library sampling point: a persist is the natural epoch boundary for
   // metric time-series (driver-thread gated; no-op without a sampler).
   telemetry::timeseries::tick_point();
@@ -1528,7 +1453,6 @@ std::size_t PmOctree::reclaim_retired() {
 
 void PmOctree::note_reclaimed(std::size_t freed, std::size_t invalidated) {
   tm_.cache_invalidations->add(invalidated);
-  ++structure_version_;
   tm_.gc_sweeps->add();
   tm_.gc_freed->add(freed);
   telemetry::trace::instant("pmoctree.gc", "pmoctree",
@@ -1553,8 +1477,6 @@ void PmOctree::destroy() {
   retired_.clear();
   deferred_nodes_ = 0;
   tm_.cache_invalidations->add(cache_.clear());
-  cursors_.clear();
-  ++structure_version_;
   dram_pool_.clear();
   dram_free_.clear();
   twins_.clear();

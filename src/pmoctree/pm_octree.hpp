@@ -307,19 +307,12 @@ class PmOctree {
   const NodeCache::Stats& node_cache_stats() const noexcept {
     return cache_.stats();
   }
-  /// Total path entries served from traversal cursors instead of fresh
-  /// descends. Execution-layer telemetry: cursor reuse is modeled-charge
-  /// transparent, so this moves with worker scheduling, never with the
-  /// modeled counters.
-  std::uint64_t cursor_reuse() const noexcept { return cursor_reuse_; }
   /// Version stamp of the leaf SET: bumped only by mutations that change
   /// which octants exist — insert-created nodes, refine, coarsen,
   /// remove. Data updates, CoW relocations, persist, GC and layout
   /// transformation leave it unchanged (they move bytes, not octants).
-  /// Distinct from structure_version_, which invalidates traversal
-  /// cursors and therefore must also bump on relocation. Equal stamps
-  /// guarantee identical (key, level) leaf enumerations — the
-  /// invalidation contract of the solve's face-neighbor index.
+  /// Equal stamps guarantee identical (key, level) leaf enumerations —
+  /// the invalidation contract of the solve's face-neighbor index.
   std::uint64_t topology_version() const noexcept {
     return topology_version_;
   }
@@ -390,29 +383,10 @@ class PmOctree {
     PNode node;
   };
   using Path = std::vector<PathEntry>;
-  /// Traversal cursor: a copy of the last descend's root-to-node path,
-  /// one per exec context (worker). A cursor is valid only while the tree
-  /// is untouched (same epoch, same structure version, same root); a
-  /// valid cursor lets the next descend reuse the path prefix down to the
-  /// longest common ancestor of the two locational codes — computed from
-  /// the codes alone — and re-read only the divergent suffix. Reuse is
-  /// modeled-charge TRANSPARENT: each reused entry performs exactly the
-  /// accounting (and node-cache side effects) a fresh read would, so the
-  /// modeled counters stay a pure function of the per-tree op sequence no
-  /// matter which worker ran which op (the exec determinism contract).
-  /// What reuse saves is real work: the device/pool memcpys and child
-  /// link chasing for the shared prefix.
-  struct Cursor {
-    Path path;
-    std::uint32_t stamp = 0;     ///< epoch_ at fill time
-    std::uint64_t version = 0;   ///< structure_version_ at fill time
-  };
-  /// This context's cursor; nullptr when the cache/cursor layer is off.
-  Cursor* cursor();
   /// Descends from the V_i root to the deepest existing ancestor of
-  /// `code`; fills `path` (path[0] = root). Returns true when the exact
-  /// octant exists (path.back() is it). Seeds from this worker's cursor
-  /// when valid.
+  /// `code`, reading every octant on the way through read_node; fills
+  /// `path` (path[0] = root). Returns true when the exact octant exists
+  /// (path.back() is it).
   bool descend(const LocCode& code, Path& path);
   /// Makes path[i]'s node mutable in place (copy-on-write as needed),
   /// updating the path and parent links. Returns the (possibly new) ref.
@@ -516,7 +490,6 @@ class PmOctree {
     telemetry::Counter* cache_misses;        ///< pmoctree.cache.misses
     telemetry::Counter* cache_evictions;     ///< pmoctree.cache.evictions
     telemetry::Counter* cache_invalidations; ///< pmoctree.cache.invalidations
-    telemetry::Counter* cursor_lca_reuse;    ///< pmoctree.cursor.lca_reuse
     telemetry::Counter* persist_visits;      ///< pmoctree.persist.visits
     telemetry::Counter* persist_pruned;  ///< pmoctree.persist.pruned_subtrees
   };
@@ -601,19 +574,8 @@ class PmOctree {
   /// Hot-node cache over NVBM-resident octants (empty when
   /// node_cache_bytes == 0); see node_cache.hpp for the coherence rules.
   NodeCache cache_;
-  /// Per-exec-context traversal cursors, grown on demand. Safe without
-  /// locks: a PmOctree is confined to one logical owner at a time (see
-  /// the Device thread-compatibility note), so cursor slots are never
-  /// touched concurrently.
-  std::vector<Cursor> cursors_;
-  /// Bumped by every mutation of tree storage (node writes, allocations,
-  /// frees, merges, transforms); cursors snapshot it and self-invalidate
-  /// when it moves.
-  std::uint64_t structure_version_ = 0;
-  /// Leaf-SET stamp (see topology_version()); a strict subset of
-  /// structure_version_'s triggers.
+  /// Leaf-SET stamp (see topology_version()).
   std::uint64_t topology_version_ = 0;
-  std::uint64_t cursor_reuse_ = 0;
 
   DramCounters dram_;
   std::size_t eviction_merges_ = 0;

@@ -53,8 +53,8 @@ RunOutput run_once(int threads) {
   const auto factory = [&](int /*rank*/, const amr::DropletParams& p)
       -> cluster::RankInstance {
     // Default PmConfig: hot-node cache ON (4 MiB) — this test is also the
-    // contract check that cache hits and cursor reuse stay deterministic
-    // across thread counts.
+    // contract check that cache hits stay deterministic across thread
+    // counts.
     auto bundle = std::make_shared<Bundle>(
         bench::make_bundle(Backend::kPm, std::size_t{64} << 20));
     auto wl = std::make_shared<amr::DropletWorkload>(p);
@@ -101,26 +101,12 @@ void expect_same_modeled_outputs(const RunOutput& a, const RunOutput& b) {
         << "breakdown bucket " << name;
   }
 
-  // Telemetry counters: modeled event counts, deterministic by contract.
-  // Exception: pmoctree.cursor.* is execution-layer telemetry — how much
-  // traversal-cursor prefix reuse happened depends on which worker ran
-  // which op, exactly like the wall-clock histograms excluded below.
-  // Cursor reuse is modeled-charge transparent, so every OTHER counter
-  // (including pmoctree.cache.*) must still be bit-identical; comparing
-  // them here is what enforces that transparency.
-  auto drop_cursor = [](std::map<std::string, std::uint64_t> m) {
-    for (auto it = m.begin(); it != m.end();) {
-      it = it->first.rfind("pmoctree.cursor.", 0) == 0 ? m.erase(it)
-                                                       : std::next(it);
-    }
-    return m;
-  };
-  const auto counters_a = drop_cursor(a.counter_delta);
-  const auto counters_b = drop_cursor(b.counter_delta);
-  ASSERT_EQ(counters_a.size(), counters_b.size());
-  for (const auto& [name, value] : counters_a) {
-    const auto it = counters_b.find(name);
-    ASSERT_NE(it, counters_b.end()) << "counter " << name;
+  // Telemetry counters: modeled event counts, deterministic by contract —
+  // every one of them, pmoctree.cache.* included.
+  ASSERT_EQ(a.counter_delta.size(), b.counter_delta.size());
+  for (const auto& [name, value] : a.counter_delta) {
+    const auto it = b.counter_delta.find(name);
+    ASSERT_NE(it, b.counter_delta.end()) << "counter " << name;
     EXPECT_EQ(value, it->second) << "counter " << name;
   }
   // Gauges (nvbm.* device state, cluster gauges): source fills run in

@@ -1,12 +1,16 @@
 // Unit tests for the execution layer (src/exec): parallel_for semantics,
-// context ids, exception propagation and the nested-call rejection.
+// which threads run a loop, exception propagation and the nested-call
+// rejection.
 #include "exec/pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace pmo::exec {
@@ -37,14 +41,14 @@ TEST(ExecPool, EmptyRangeRunsNothing) {
 TEST(ExecPool, SingleItemRunsInlineOnCaller) {
   ThreadPool pool(4);
   int calls = 0;
-  int ctx = -1;
+  std::thread::id ran_on;
   pool.parallel_for(1, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
-    ctx = context_id();
+    ran_on = std::this_thread::get_id();
     ++calls;
   });
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(ctx, 0);  // n == 1 runs on the calling thread
+  EXPECT_EQ(ran_on, std::this_thread::get_id());  // n == 1 runs on the caller
 }
 
 TEST(ExecPool, EveryIndexRunsExactlyOnce) {
@@ -57,20 +61,30 @@ TEST(ExecPool, EveryIndexRunsExactlyOnce) {
   }
 }
 
-TEST(ExecPool, ContextIdsWithinPoolSize) {
+TEST(ExecPool, LoopThreadsWithinPoolSizeIncludeCaller) {
   ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
   std::mutex mu;
-  std::set<int> seen;
+  std::set<std::thread::id> seen;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   pool.parallel_for(256, [&](std::size_t) {
-    const int id = context_id();
-    EXPECT_GE(id, 0);
-    EXPECT_LT(id, pool.size());
-    std::lock_guard<std::mutex> lk(mu);
-    seen.insert(id);
+    const std::thread::id self = std::this_thread::get_id();
+    if (self == caller) caller_ran.store(true);
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      seen.insert(self);
+    }
+    // Hold each worker until the caller has claimed an index, so a
+    // preempted caller cannot find the range already drained. At most
+    // size() - 1 indices wait, so the caller always finds one; the
+    // deadline turns a caller that never joins into a failure, not a hang.
+    while (!caller_ran.load() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
   });
-  EXPECT_FALSE(seen.empty());
-  // Outside any parallel_for the caller is context 0 again.
-  EXPECT_EQ(context_id(), 0);
+  EXPECT_LE(seen.size(), static_cast<std::size_t>(pool.size()));
+  EXPECT_EQ(seen.count(caller), 1u);  // the caller takes part
 }
 
 TEST(ExecPool, FirstExceptionPropagatesAndPoolStaysUsable) {

@@ -1,10 +1,10 @@
-// Hot-node cache + traversal cursor coherence tests.
+// Hot-node cache coherence tests.
 //
-// The epoch-validated DRAM node cache (pmoctree/node_cache.hpp) and the
-// per-worker traversal cursors are pure read-path accelerations: with the
-// cache on, every modeled output that is not an explicit cache/cursor
-// metric must be BIT-IDENTICAL to the cache-off run — tree structure,
-// payloads, PersistStats, DRAM counters, NVBM write traffic and wear.
+// The epoch-validated DRAM node cache (pmoctree/node_cache.hpp) is a pure
+// read-path acceleration: with the cache on, every modeled output that is
+// not an explicit cache metric must be BIT-IDENTICAL to the cache-off
+// run — tree structure, payloads, PersistStats, DRAM counters, NVBM write
+// traffic and wear.
 // These tests drive randomized interleavings of refine / coarsen /
 // update / persist / transform / restore against a cache-on and a
 // cache-off tree fed by the same RNG stream and compare everything.
@@ -306,7 +306,6 @@ struct Outcome {
   std::uint64_t nvbm_lines_read = 0;  ///< allowed to differ: cache shrinks it
   std::string wear;
   NodeCache::Stats cache;
-  std::uint64_t cursor_reuse = 0;
 };
 
 Outcome run_interleaving(int seed, std::size_t cache_bytes) {
@@ -343,7 +342,7 @@ Outcome run_interleaving(int seed, std::size_t cache_bytes) {
       } else if (action == 2) {
         tree.update(victim, cell(rng.uniform()));
       } else {
-        // Pure reads: the cursor/cache fast path.
+        // Pure reads: the cache fast path.
         for (int q = 0; q < 8; ++q) {
           const auto& probe = leaves[static_cast<std::size_t>(
               rng.below(leaves.size()))];
@@ -367,7 +366,6 @@ Outcome run_interleaving(int seed, std::size_t cache_bytes) {
       if (round == 2) tree.maybe_transform();
     }
     out.cache = tree.node_cache_stats();
-    out.cursor_reuse = tree.cursor_reuse();
     out.dram = tree.dram_counters();
   }
 
@@ -380,13 +378,12 @@ Outcome run_interleaving(int seed, std::size_t cache_bytes) {
   out.persists.push_back(back.persist());
   out.checkpoints.push_back(leaves_of(back));
   out.final_stats = back.stats();
-  // Cache/cursor activity of the whole history = both tree generations.
+  // Cache activity of the whole history = both tree generations.
   const auto bc = back.node_cache_stats();
   out.cache.hits += bc.hits;
   out.cache.misses += bc.misses;
   out.cache.evictions += bc.evictions;
   out.cache.invalidations += bc.invalidations;
-  out.cursor_reuse += back.cursor_reuse();
 
   out.nvbm_writes = dev.counters().writes;
   out.nvbm_lines_written = dev.counters().lines_written;
@@ -443,12 +440,11 @@ TEST_P(CacheCoherence, RandomInterleavingMatchesCacheOffBitExactly) {
   EXPECT_LT(on.nvbm_lines_read, off.nvbm_lines_read);
   EXPECT_GT(on.cache.hits, 0u);
 
-  // Off = truly off: no cache activity, no cursor reuse.
+  // Off = truly off: no cache activity.
   EXPECT_EQ(off.cache.hits, 0u);
   EXPECT_EQ(off.cache.misses, 0u);
   EXPECT_EQ(off.cache.evictions, 0u);
   EXPECT_EQ(off.cache.invalidations, 0u);
-  EXPECT_EQ(off.cursor_reuse, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheCoherence, ::testing::Range(0, 8));

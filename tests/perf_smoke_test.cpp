@@ -1,12 +1,12 @@
 // perf_smoke gate (ctest label `perf_smoke`): deterministic, counter-based
 // performance regressions — no wall-clock measurement, so the gate is
-// stable on loaded CI machines. The tentpole check: the traversal-cursor +
-// hot-node-cache read path must cut NVBM line reads on a small-scale
-// droplet workload to at most 60% of the cache-off baseline (the
-// acceptance bar is a 40% drop at full bench scale; this 5%-scale replica
-// runs in seconds). The cache is read-path only, so everything modeled
-// except read traffic must stay bit-identical — that is asserted too, so a
-// "speedup" obtained by changing semantics fails the gate.
+// stable on loaded CI machines. The tentpole check: the hot-node cache
+// must cut NVBM line reads on a small-scale droplet workload to at most
+// 60% of the cache-off baseline (the acceptance bar is a 40% drop at full
+// bench scale; this 5%-scale replica runs in seconds). The cache is
+// read-path only, so everything modeled except read traffic must stay
+// bit-identical — that is asserted too, so a "speedup" obtained by
+// changing semantics fails the gate.
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -17,8 +17,8 @@
 //
 //  * EXACT (verdict-driving) — applied when BOTH documents carry
 //    determinism.modeled_exact = 1: every metrics.counters entry except
-//    the documented-nondeterministic pmoctree.cursor.* / serve.*
-//    namespaces, every nvbm.* gauge, and every timeseries series flagged
+//    the documented-nondeterministic serve.*
+//    namespace, every nvbm.* gauge, and every timeseries series flagged
 //    modeled=1 (t and v arrays bit-for-bit; a diverged series is reported
 //    at its first differing point: index, tick t, baseline and current
 //    value). Modeled quantities are pure functions of the workload; ANY
@@ -200,11 +200,10 @@ class Differ {
 };
 
 bool skipped_counter(const std::string& name) {
-  // Documented-nondeterministic namespaces: traversal cursor reuse
-  // depends on scheduling; serve.* live-phase counters are wall-clock
-  // coupled (query classification, reclamation under reader pins).
-  return name.rfind("pmoctree.cursor.", 0) == 0 ||
-         name.rfind("serve.", 0) == 0;
+  // Documented-nondeterministic namespace: serve.* live-phase counters are
+  // wall-clock coupled (query classification, reclamation under reader
+  // pins).
+  return name.rfind("serve.", 0) == 0;
 }
 
 /// Renders `v` as an 8-level ASCII sparkline (low ' _.-~=+*#' high).
