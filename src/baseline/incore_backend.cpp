@@ -12,7 +12,6 @@ pmoctree::PmConfig dram_only_config() {
   // Effectively unlimited DRAM: octants never spill to NVBM.
   pm.dram_budget_bytes = std::size_t{1} << 50;
   pm.enable_transform = false;
-  pm.gc_on_persist = false;
   // No NVBM-resident octants -> the hot-node cache would never hit; keep
   // it off so this baseline emits no pmoctree.cache telemetry that could
   // be mistaken for the PM-octree under test.

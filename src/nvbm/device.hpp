@@ -47,13 +47,17 @@ enum class LatencyMode {
 struct Config {
   std::uint64_t read_ns = 100;        ///< NVBM read latency per cache line
   std::uint64_t write_ns = 150;       ///< NVBM write latency per cache line
-  std::uint64_t dram_read_ns = 60;    ///< DRAM read latency (for reference)
-  std::uint64_t dram_write_ns = 60;   ///< DRAM write latency (for reference)
+  /// DRAM latency per cache line: charged for node-cache hits, serve
+  /// reader cache hits and every PM-octree C0 access.
+  std::uint64_t dram_read_ns = 60;
+  std::uint64_t dram_write_ns = 60;
   std::uint64_t endurance = 100'000'000;  ///< writes/bit: 1e6–1e8 per paper
   LatencyMode latency_mode = LatencyMode::kModeled;
   bool track_wear = false;       ///< per-line write counters
   bool crash_sim = false;        ///< keep a durable shadow image
-  std::size_t cache_line = 64;   ///< flush granularity in bytes
+  /// Line size in bytes: flush granularity and the unit of every
+  /// modeled access, NVBM and DRAM alike.
+  std::size_t cache_line = 64;
 };
 
 /// Access counters, all cumulative since construction or reset_counters().

@@ -42,19 +42,6 @@ struct PmConfig {
   /// Master switch for dynamic layout transformation (Fig. 11 ablation).
   bool enable_transform = true;
 
-  /// At the end of every pm_persistent(), free the NVBM octants that only
-  /// superseded versions held (the retire list; the full gc() on the
-  /// first persist after a restore). When false, persist only tombstones
-  /// them and reclaiming is left to explicit gc() calls.
-  bool gc_on_persist = true;
-
-  /// DRAM access latencies used for modeled-time accounting (Table 2).
-  std::uint64_t dram_read_ns = 60;
-  std::uint64_t dram_write_ns = 60;
-
-  /// Cache-line size used to convert node accesses to latency units.
-  std::size_t cache_line = 64;
-
   /// DRAM budget (bytes) of the epoch-validated hot-node cache on the
   /// descent read path: NVBM-resident octants read via the node accessor
   /// are kept in DRAM and served at DRAM latency until invalidated by the

@@ -78,10 +78,8 @@ struct NodeRefHash {
   }
 };
 
-/// Node flags.
+/// Node flags. Bit 0 is unused.
 enum NodeFlags : std::uint32_t {
-  /// Tombstoned (gc_on_persist off only); reclaimed by the next gc().
-  kNodeDeleted = 1u << 0,
   /// Dirty-subtree summary bit (DRAM-resident nodes only): some octant in
   /// this node's subtree mutated since the last persist, so the merge
   /// must recurse here. A clean DRAM node (bit unset, epoch < current,
@@ -152,7 +150,6 @@ struct PNode {
     return (flags & (1u << (kNodeChildMaskShift + i))) != 0;
   }
   bool is_leaf() const noexcept { return (flags & kNodeChildMask) == 0; }
-  bool deleted() const noexcept { return (flags & kNodeDeleted) != 0; }
 };
 
 /// Bytes of the payload line; the link line follows it.

@@ -40,7 +40,6 @@ PmOctree::PmOctree(nvbm::Heap& heap, PmConfig config)
   tm_.cow_copies = &reg.counter("pmoctree.cow_copies");
   tm_.twin_reuse = &reg.counter("pmoctree.merge.twin_reuse");
   tm_.merged_from_dram = &reg.counter("pmoctree.merge.merged_from_dram");
-  tm_.tombstoned = &reg.counter("pmoctree.merge.tombstoned");
   tm_.evictions = &reg.counter("pmoctree.merge.evictions");
   tm_.persists = &reg.counter("pmoctree.persists");
   tm_.gc_sweeps = &reg.counter("pmoctree.gc.sweeps");
@@ -134,17 +133,19 @@ PmOctree PmOctree::restore(nvbm::Heap& heap, PmConfig config) {
 // ---------------------------------------------------------------------------
 
 void PmOctree::charge_dram_read(std::size_t bytes) {
+  const nvbm::Config& c = device().config();
   ++dram_.reads;
-  const auto lines = lines_for(bytes, config_.cache_line);
+  const auto lines = lines_for(bytes, c.cache_line);
   dram_.lines_read += lines;
-  dram_.modeled_read_ns += lines * config_.dram_read_ns;
+  dram_.modeled_read_ns += lines * c.dram_read_ns;
 }
 
 void PmOctree::charge_dram_write(std::size_t bytes) {
+  const nvbm::Config& c = device().config();
   ++dram_.writes;
-  const auto lines = lines_for(bytes, config_.cache_line);
+  const auto lines = lines_for(bytes, c.cache_line);
   dram_.lines_written += lines;
-  dram_.modeled_write_ns += lines * config_.dram_write_ns;
+  dram_.modeled_write_ns += lines * c.dram_write_ns;
 }
 
 void PmOctree::touch_heat(const LocCode& code, double amount) {
@@ -655,45 +656,20 @@ void PmOctree::update(const LocCode& code, const CellData& data) {
   write_back_data(path.back());
 }
 
-std::size_t PmOctree::free_subtree(NodeRef ref, bool tombstone_shared) {
+std::size_t PmOctree::free_subtree(NodeRef ref) {
   if (ref.null()) return 0;
-  PNode node = ref.in_dram() ? load_node(ref.dram_ptr())
-                             : nv_load(ref.nvbm_offset());
-  if (ref.in_dram() || node.epoch == epoch_) {
-    std::size_t n = 1;
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      if (node.has_child(i))
-        n += free_subtree(node.child_ref(i), tombstone_shared);
-    }
-    free_node(ref);
-    return n;
-  }
-  // Shared with V_{i-1}: may not be freed or mutated structurally. Retire
-  // every shared node; they are reclaimed once the versions that reference
-  // them are superseded (§3.2, Deletion). Without gc_on_persist the
-  // subtree root is also marked deleted (tombstone) for explicit gc()
-  // callers; the retire list needs no mark, so the sealed version's bytes
-  // stay untouched. The children are recursed with tombstoning off.
-  retire(ref.nvbm_offset(), node.epoch);
+  const PNode node = ref.in_dram() ? load_node(ref.dram_ptr())
+                                   : nv_load(ref.nvbm_offset());
+  // Shared with V_{i-1}: may not be freed or written. Retire it; a persist
+  // frees it once no pinned version can reach it (§3.2, Deletion), and
+  // nothing marks the sealed bytes meanwhile.
+  const bool shared = ref.in_nvbm() && node.epoch != epoch_;
+  if (shared) retire(ref.nvbm_offset(), node.epoch);
   std::size_t n = 1;
   for (int i = 0; i < kChildrenPerNode; ++i) {
-    if (node.has_child(i))
-      n += free_subtree(node.child_ref(i), /*tombstone_shared=*/false);
+    if (node.has_child(i)) n += free_subtree(node.child_ref(i));
   }
-  if (tombstone_shared && !config_.gc_on_persist && !node.deleted()) {
-    touch_heat(node.code(), 1.0);
-    if (registry_->pin_count() != 0) {
-      // Epoch-based reclamation: a pinned reader may be traversing this
-      // shared node right now, so the kNodeDeleted flip must not be
-      // written under it. Defer the mark; it is drained by the next
-      // pin-free persist and subsumed by any reclamation.
-      deferred_tombstones_.push_back(ref.nvbm_offset());
-    } else {
-      node.flags |= kNodeDeleted;
-      nv_store_partial(ref.nvbm_offset(), offsetof(PNode, flags),
-                       sizeof(node.flags), node);
-    }
-  }
+  if (!shared) free_node(ref);
   return n;
 }
 
@@ -707,7 +683,7 @@ void PmOctree::remove(const LocCode& code) {
   make_mutable(path, pi);
   path[pi].node.set_child(code.child_index(), NodeRef{});
   write_back_children(path[pi].ref, path[pi].node);
-  logical_nodes_ -= free_subtree(doomed, /*tombstone_shared=*/true);
+  logical_nodes_ -= free_subtree(doomed);
   ++topology_version_;
 }
 
@@ -758,8 +734,7 @@ void PmOctree::coarsen(const LocCode& parent_code) {
     acc.pressure += child.data.pressure / kChildrenPerNode;
   }
   for (int ci = 0; ci < kChildrenPerNode; ++ci) {
-    logical_nodes_ -=
-        free_subtree(parent.child_ref(ci), /*tombstone_shared=*/true);
+    logical_nodes_ -= free_subtree(parent.child_ref(ci));
     parent.set_child(ci, NodeRef{});
   }
   parent.data = acc;
@@ -1171,7 +1146,6 @@ PersistStats PmOctree::persist() {
   //    This 8-byte update is the only ordering-critical write (§1).
   device().flush_all();
   device().persist_barrier();
-  const NodeRef old_prev = prev_root_;
   // The node-count slot is advisory (restore() only reads it for the
   // telemetry baseline), so it goes first: a crash between the slot
   // stores can misreport a statistic but never corrupt the tree. The
@@ -1192,23 +1166,6 @@ PersistStats PmOctree::persist() {
        {"visits", static_cast<double>(stats.visits)},
        {"pruned_subtrees", static_cast<double>(stats.pruned_subtrees)}});
 
-  // 3. Tombstone octants that existed only in the superseded version.
-  //    Under gc_on_persist step 4 reclaims them directly, so the explicit
-  //    marking pass is only needed for deferred collection. Epoch-based
-  //    reclamation: while ANY snapshot pin is live the marking is
-  //    deferred — flipping kNodeDeleted writes into bytes a pinned
-  //    reader may be memcpy-ing concurrently. The superseded root is
-  //    retired instead and the whole backlog drains at the next pin-free
-  //    persist (a reclamation subsumes it).
-  if (!config_.gc_on_persist) {
-    if (!old_prev.null() && !(old_prev == new_prev)) {
-      retired_roots_.emplace_back(epoch_, old_prev);
-    }
-    if (registry_->pin_count() == 0) {
-      stats.tombstoned += process_deferred_tombstones(new_prev);
-    }
-  }
-
   prev_root_ = new_prev;
   ++epoch_;
   // The sealed version is durable: publish it to the pin registry so
@@ -1220,14 +1177,14 @@ PersistStats PmOctree::persist() {
   // letting the epoch stamp expire it wholesale.
   cache_.restamp(epoch_ - 1, epoch_);
 
-  // 4. Free what the superseded versions alone held (never *during* the
+  // 3. Free what the superseded versions alone held (never *during* the
   //    merge): the retire list, or the full collector after a restore.
-  if (config_.gc_on_persist) {
+  {
     telemetry::Span gc_span("gc");  // pmoctree.persist.gc
     stats.gc_freed = recovery_gc_due_ ? gc() : reclaim_retired();
   }
 
-  // 5. Decay heat and re-layout hot subtrees (the paper triggers dynamic
+  // 4. Decay heat and re-layout hot subtrees (the paper triggers dynamic
   //    transformation only after merging completes).
   for (auto& [id, h] : heat_) h *= 0.5;
   const bool want_census = config_.enable_transform && !features_.empty();
@@ -1243,7 +1200,7 @@ PersistStats PmOctree::persist() {
   // copy.
   enforce_dram_budget();
 
-  // 6. Automated C0 sizing (the paper's §6 future work): adapt the DRAM
+  // 5. Automated C0 sizing (the paper's §6 future work): adapt the DRAM
   //    budget to keep the NVBM tier's share of memory accesses in band.
   if (config_.auto_budget) {
     // Node-cache hits are DRAM accesses: count them on the DRAM side so
@@ -1275,7 +1232,6 @@ PersistStats PmOctree::persist() {
 #endif
   tm_.persists->add();
   tm_.merged_from_dram->add(stats.merged_from_dram);
-  tm_.tombstoned->add(stats.tombstoned);
   tm_.persist_visits->add(stats.visits);
   tm_.persist_pruned->add(stats.pruned_subtrees);
   telemetry::trace::instant(
@@ -1316,45 +1272,6 @@ void PmOctree::collect_reachable_nvbm(
   }
 }
 
-std::size_t PmOctree::process_deferred_tombstones(NodeRef new_prev) {
-  if (retired_roots_.empty() && deferred_tombstones_.empty()) return 0;
-  std::size_t marked = 0;
-  std::unordered_set<std::uint64_t> in_new;
-  collect_reachable_nvbm(new_prev, in_new);
-  const auto mark = [&](std::uint64_t off, PNode& node) {
-    if (node.deleted()) return;
-    node.flags |= kNodeDeleted;
-    nv_store_partial(off, offsetof(PNode, flags), sizeof(node.flags), node);
-    ++marked;
-  };
-  for (const auto& [sealed_epoch, root] : retired_roots_) {
-    (void)sealed_epoch;
-    std::vector<NodeRef> stack{root};
-    while (!stack.empty()) {
-      const NodeRef ref = stack.back();
-      stack.pop_back();
-      if (in_new.count(ref.nvbm_offset()) != 0) continue;
-      PNode node = nv_load(ref.nvbm_offset());
-      mark(ref.nvbm_offset(), node);
-      for (int i = 0; i < kChildrenPerNode; ++i) {
-        if (!node.has_child(i)) continue;
-        const NodeRef c = node.child_ref(i);
-        if (in_new.count(c.nvbm_offset()) == 0) stack.push_back(c);
-      }
-    }
-  }
-  retired_roots_.clear();
-  // Individually deferred shared-subtree removals. The offsets are still
-  // valid: only gc() frees shared nodes, and gc() clears this list.
-  for (const std::uint64_t off : deferred_tombstones_) {
-    if (in_new.count(off) != 0) continue;  // never mark a live octant
-    PNode node = nv_load(off);
-    mark(off, node);
-  }
-  deferred_tombstones_.clear();
-  return marked;
-}
-
 std::size_t PmOctree::gc() {
   std::unordered_set<std::uint64_t> live;
   collect_reachable_nvbm(prev_root_, live);
@@ -1374,11 +1291,6 @@ std::size_t PmOctree::gc() {
     deferred_nodes_ = 0;
   }
   if (deferred_nodes_ > deferred_hwm_) deferred_hwm_ = deferred_nodes_;
-  // Reachability subsumes tombstone marking: everything the deferred
-  // lists point at is either reclaimed by this sweep or still reachable
-  // from a root (and a later reclamation picks it up once it no longer is).
-  retired_roots_.clear();
-  deferred_tombstones_.clear();
   recovery_gc_due_ = false;
   // The sweep frees offsets behind the node accessor's back and the heap
   // may hand them out again within this epoch — invalidate exactly the
@@ -1444,9 +1356,6 @@ std::size_t PmOctree::reclaim_retired() {
   if (retired_.empty()) retired_.shrink_to_fit();
   deferred_nodes_ = retired_.size();
   if (deferred_nodes_ > deferred_hwm_) deferred_hwm_ = deferred_nodes_;
-  // Every deferred tombstone is retired as well: the list subsumes them.
-  retired_roots_.clear();
-  deferred_tombstones_.clear();
   note_reclaimed(freed, invalidated);
   return freed;
 }
@@ -1472,8 +1381,6 @@ void PmOctree::destroy() {
                 "pm_delete with live snapshot pins — release every "
                 "SnapshotHandle before destroying the tree");
   registry_->publish(0, 0, 0);
-  retired_roots_.clear();
-  deferred_tombstones_.clear();
   retired_.clear();
   deferred_nodes_ = 0;
   tm_.cache_invalidations->add(cache_.clear());

@@ -47,7 +47,6 @@ struct PersistStats {
   std::size_t nodes_total = 0;    ///< octants in V_i at persist time
   std::size_t nodes_shared = 0;   ///< octants shared with V_{i-1}
   std::size_t merged_from_dram = 0;  ///< C0 octants written out to C1
-  std::size_t tombstoned = 0;     ///< old-version-only octants marked
   std::size_t gc_freed = 0;
   std::uint64_t delta_bytes = 0;  ///< replica delta size (new/changed nodes)
   double overlap_ratio = 0.0;     ///< shared / total (the paper's metric)
@@ -167,8 +166,9 @@ class PmOctree {
   /// Updates an existing octant's payload (Fig. 4b).
   void update(const LocCode& code, const CellData& data);
   /// Removes the subtree rooted at `code` from V_i. NVBM octants still
-  /// referenced by V_{i-1} are retired, not freed (§3.2, Deletion); without
-  /// gc_on_persist the removed subtree's root is also tombstoned.
+  /// referenced by V_{i-1} are retired, not freed (§3.2, Deletion): a
+  /// persist frees them once no pinned version reaches them, and nothing
+  /// is written into their bytes meanwhile.
   void remove(const LocCode& code);
   /// Splits a leaf into 8 children (children inherit data; `init` may
   /// override).
@@ -191,10 +191,10 @@ class PmOctree {
   // ---- persistence & versioning -------------------------------------------
 
   /// pm_persistent: merge C0 into C1, make V_i durable, atomically swap the
-  /// persistent root, reclaim what the superseded version alone held
-  /// (tombstones, or the retire list under gc_on_persist), run the
-  /// dynamic layout transformation, and evict C0 subtrees back within the
-  /// budget: C0 overflows only between persists (DESIGN.md §5).
+  /// persistent root, free what the superseded version alone held (the
+  /// retire list; the full gc() on the first persist after a restore), run
+  /// the dynamic layout transformation, and evict C0 subtrees back within
+  /// the budget: C0 overflows only between persists (DESIGN.md §5).
   PersistStats persist();
 
   /// Full mark-and-sweep: frees every NVBM object unreachable from both
@@ -212,12 +212,11 @@ class PmOctree {
   /// Pins the latest durable version (the epoch sealed by the last
   /// persist()) and returns a refcounted handle onto it. While any handle
   /// on an epoch lives, every node reachable from that version keeps its
-  /// bytes: persist() frees no retired octant that version reaches, gc()
-  /// treats the pinned root as live, and tombstone marking
-  /// (persist step 3, shared-subtree removal) is deferred so the mutator
-  /// never writes into bytes a pinned reader may be reading. Pinning and
-  /// releasing are safe from any thread; everything else on this class
-  /// stays owner-thread-only. Requires has_prev_version().
+  /// bytes: persist() frees no retired octant that version reaches and
+  /// gc() treats the pinned root as live, while the mutator never writes
+  /// into a sealed version at all. Pinning and releasing are safe from any
+  /// thread; everything else on this class stays owner-thread-only.
+  /// Requires has_prev_version().
   SnapshotHandle pin_snapshot();
   /// Distinct epochs currently pinned.
   std::size_t pinned_epochs() const noexcept {
@@ -336,7 +335,8 @@ class PmOctree {
   /// counts it against the DRAM budget; the caller fills and charges it.
   PNode* take_dram_slot();
   void free_node(NodeRef ref);
-  /// C0 access charges: lines_for(bytes copied) at DRAM latency.
+  /// C0 access charges: the lines copied at the device's DRAM latency,
+  /// the cost model nvbm::Config holds for every tier.
   void charge_dram_read(std::size_t bytes);
   void charge_dram_write(std::size_t bytes);
   void touch_heat(const LocCode& code, double amount);
@@ -446,14 +446,10 @@ class PmOctree {
   void for_each_leaf_from(
       NodeRef root,
       const std::function<void(const LocCode&, const CellData&)>& fn);
-  /// Runs the deferred tombstone work (retired superseded roots plus
-  /// individual shared-subtree removals) once the pin set is empty.
-  /// Returns the number of octants marked. `new_prev` is the version the
-  /// marking must never touch.
-  std::size_t process_deferred_tombstones(NodeRef new_prev);
-  /// Returns the number of logical octants removed from V_i (tombstoned
-  /// shared subtrees are counted recursively without being freed).
-  std::size_t free_subtree(NodeRef ref, bool tombstone_shared);
+  /// Drops the subtree at `ref` from V_i: frees its private octants and
+  /// retires the shared ones. Returns the number of logical octants
+  /// removed.
+  std::size_t free_subtree(NodeRef ref);
   /// Records an NVBM offset that just left the working tree while a
   /// sealed version may still reference it; `born` is the epoch stamped
   /// in the octant, or 0 when the caller has not read it (twins).
@@ -463,7 +459,7 @@ class PmOctree {
   /// Frees, in ascending offset order, every retired offset no pinned
   /// version can reach. Returns the number freed.
   std::size_t reclaim_retired();
-  /// Telemetry shared by both reclamation paths.
+  /// Telemetry shared by reclaim_retired() and gc().
   void note_reclaimed(std::size_t freed, std::size_t invalidated);
 
   void note_depth(int level) noexcept {
@@ -478,7 +474,6 @@ class PmOctree {
     telemetry::Counter* cow_copies;        ///< pmoctree.cow_copies
     telemetry::Counter* twin_reuse;        ///< pmoctree.merge.twin_reuse
     telemetry::Counter* merged_from_dram;  ///< pmoctree.merge.merged_from_dram
-    telemetry::Counter* tombstoned;        ///< pmoctree.merge.tombstoned
     telemetry::Counter* evictions;         ///< pmoctree.merge.evictions
     telemetry::Counter* persists;          ///< pmoctree.persists
     telemetry::Counter* gc_sweeps;         ///< pmoctree.gc.sweeps
@@ -522,16 +517,6 @@ class PmOctree {
   /// Pin table shared with every SnapshotHandle (shared_ptr so handles
   /// survive tree moves). The ONLY tree state reader threads may touch.
   std::shared_ptr<SnapshotRegistry> registry_;
-  /// Superseded roots whose tombstone pass was deferred because snapshot
-  /// pins were live at persist time: (epoch that sealed them, root).
-  /// Drained by the next pin-free persist; cleared by gc() (reachability
-  /// subsumes tombstone marking).
-  std::vector<std::pair<std::uint32_t, NodeRef>> retired_roots_;
-  /// Shared-node tombstones deferred by remove()/coarsen() while pins
-  /// were live. Offsets stay valid until the next reclamation, which
-  /// clears the list: every one of them is retired too, so only a
-  /// reclamation ever frees shared nodes.
-  std::vector<std::uint64_t> deferred_tombstones_;
   /// Retire list: NVBM offsets that left the working tree while a sealed
   /// version may still reference them — CoW originals, the shared nodes
   /// a removal walks, the twins of dropped DRAM octants and the twins a

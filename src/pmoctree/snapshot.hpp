@@ -9,15 +9,14 @@
 //    that held it, and gc() adds every pinned root's reachable set to
 //    its live set, so no node a reader can still reach is ever freed or
 //    reused;
-//  * tombstone marking (persist step 3 and shared-subtree removal, both
-//    only with gc_on_persist off) is deferred while any pin is live,
-//    because flipping kNodeDeleted on a shared node is a write into
-//    bytes a reader may be memcpy-ing.
+//  * nothing ever writes into a sealed version: the mutator copies a
+//    shared octant before changing it and retires the original in DRAM,
+//    so the bytes a reader memcpys stay as they were sealed.
 //
 // Concurrency model: the registry is the ONLY PmOctree state that reader
 // threads touch. pin/unpin take a small mutex (never held while doing
-// tree work); the mutator reads an atomic pin count on its hot gates and
-// takes the mutex only once per persist/gc. Handles are shared_ptr-backed
+// tree work); the mutator takes it only once per persist/gc, and the pin
+// count is also kept in an atomic. Handles are shared_ptr-backed
 // so they stay safe across PmOctree moves; they must not outlive the
 // heap/device (the bytes they let readers address).
 #pragma once
@@ -101,8 +100,8 @@ class SnapshotRegistry {
     if (unpins_c_ != nullptr) unpins_c_->add();
   }
 
-  /// Distinct pinned epochs right now. Lock-free: the mutator's tombstone
-  /// gates read this on every shared-subtree removal.
+  /// Distinct pinned epochs right now. Lock-free, so any thread may poll
+  /// it without taking the pin mutex.
   std::size_t pin_count() const noexcept {
     return pin_count_.load(std::memory_order_relaxed);
   }
@@ -158,9 +157,9 @@ class SnapshotRegistry {
 /// Refcounted pin on one persisted epoch. Obtained from
 /// PmOctree::pin_snapshot(); copyable (shares the pin), movable. While
 /// any handle on an epoch is alive, every node reachable from that
-/// epoch's root keeps its bytes: no reclamation frees it and the mutator
-/// will not tombstone it. Handles may be released from any thread; the
-/// underlying device must outlive every handle.
+/// epoch's root keeps its bytes: no reclamation frees it, and the mutator
+/// never writes into a sealed version. Handles may be released from any
+/// thread; the underlying device must outlive every handle.
 class SnapshotHandle {
  public:
   SnapshotHandle() = default;

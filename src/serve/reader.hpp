@@ -2,8 +2,8 @@
 //
 // Every persisted version V_{i-1} is an immutable NVBM-resident octree;
 // a SnapshotHandle (pmoctree/snapshot.hpp) pins one so its bytes cannot
-// be freed, tombstoned, or reused while readers traverse it. This layer
-// is what runs ON those pinned bytes: point lookup, region/box query,
+// be freed or reused while readers traverse it. This layer is what runs
+// ON those pinned bytes: point lookup, region/box query,
 // face-neighbor find, and coarse/fine interface extraction — the
 // post-hoc tree-extraction analysis pattern — executing concurrently
 // with the droplet mutator on the exec::ThreadPool.

@@ -396,7 +396,6 @@ void expect_persist_eq(const PersistStats& a, const PersistStats& b) {
   EXPECT_EQ(a.nodes_total, b.nodes_total);
   EXPECT_EQ(a.nodes_shared, b.nodes_shared);
   EXPECT_EQ(a.merged_from_dram, b.merged_from_dram);
-  EXPECT_EQ(a.tombstoned, b.tombstoned);
   EXPECT_EQ(a.gc_freed, b.gc_freed);
   EXPECT_EQ(a.delta_bytes, b.delta_bytes);
   EXPECT_EQ(a.overlap_ratio, b.overlap_ratio);
@@ -506,7 +505,6 @@ TEST(CacheCoherence, PersistEpochBumpKeepsCacheWarm) {
   nvbm::Heap heap(dev);
   PmConfig pm;
   pm.dram_budget_bytes = 0;
-  pm.gc_on_persist = false;  // keep the cache populated across persist
   auto tree = PmOctree::create(heap, pm);
   for (int l = 0; l < 2; ++l)
     tree.refine_where([](const LocCode&, const CellData&) { return true; });

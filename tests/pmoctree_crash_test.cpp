@@ -76,7 +76,6 @@ TEST_P(CrashInjection, RestoreAlwaysYieldsLastPersistedVersion) {
   nvbm::Heap heap(dev);
   PmConfig pm;
   pm.dram_budget_bytes = 16 * sizeof(PNode);  // force heavy NVBM traffic
-  pm.gc_on_persist = true;
 
   LeafMap persisted;
   {
@@ -111,7 +110,6 @@ void crash_during_merge(int seed, std::size_t dram_budget_bytes) {
   nvbm::Heap heap(dev);
   PmConfig pm;
   pm.dram_budget_bytes = dram_budget_bytes;
-  pm.gc_on_persist = false;
 
   LeafMap persisted;
   {
@@ -255,7 +253,6 @@ TEST_P(CrashInjection, ParallelMergeKeepsCrashConsistency) {
   nvbm::Heap heap(dev);
   PmConfig pm;
   pm.dram_budget_bytes = 64 * sizeof(PNode);
-  pm.gc_on_persist = true;
 
   LeafMap persisted;
   {

@@ -598,8 +598,8 @@ void log_leaves(std::vector<std::uint64_t>& log, PmOctree& tree) {
 void log_persist(std::vector<std::uint64_t>& log, const PersistStats& s) {
   for (const std::uint64_t v :
        {std::uint64_t{s.nodes_total}, std::uint64_t{s.nodes_shared},
-        std::uint64_t{s.merged_from_dram}, std::uint64_t{s.tombstoned},
-        std::uint64_t{s.gc_freed}, s.delta_bytes, std::uint64_t{s.visits},
+        std::uint64_t{s.merged_from_dram}, std::uint64_t{s.gc_freed},
+        s.delta_bytes, std::uint64_t{s.visits},
         std::uint64_t{s.pruned_subtrees}})
     log.push_back(v);
 }
@@ -638,7 +638,6 @@ std::vector<std::uint64_t> layout_scenario(bool poison) {
   nvbm::Device dev(64 << 20, dev_cfg());
   PmConfig pm;
   pm.dram_budget_bytes = 40 * sizeof(PNode);  // C0 and NVBM leaves both
-  pm.gc_on_persist = false;  // tombstones and explicit gc() too
   std::vector<std::uint64_t> log;
   {
     nvbm::Heap heap(dev);

@@ -2,9 +2,9 @@
 //
 // The serving contract under test: a SnapshotHandle pins a persisted
 // epoch so (1) every query result from src/serve is correct against the
-// pinned image, (2) no node reachable from a pinned epoch is freed,
-// tombstoned or overwritten by the concurrent mutator — persist()
-// defers tombstone marking and gc() keeps pinned-reachable nodes live —
+// pinned image, (2) no node reachable from a pinned epoch is freed or
+// overwritten by the concurrent mutator — persist() holds back retired
+// octants a pin reaches and gc() keeps pinned-reachable nodes live —
 // and (3) reader results and modeled charges are bit-identical across
 // thread counts (the determinism contract). The concurrent stress test
 // here is part of the tsan_smoke gate.
@@ -231,7 +231,6 @@ TEST(ServeSnapshot, PinKeepsNodesAcrossGcAndReclaimsAfterRelease) {
   nvbm::Device dev(64 << 20, quiet_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.gc_on_persist = true;
   pm.dram_budget_bytes = 16 * sizeof(PNode);  // heavy NVBM traffic
   auto tree = PmOctree::create(heap, pm);
   tree.refine_where([](const LocCode& c, const CellData&) {
@@ -281,12 +280,11 @@ TEST(ServeSnapshot, PinKeepsNodesAcrossGcAndReclaimsAfterRelease) {
   EXPECT_EQ(tree.deferred_reclaim_nodes(), 0u);
 }
 
-TEST(ServeSnapshot, TombstoningDeferredWhilePinned) {
+TEST(ServeSnapshot, RetiredTwinsHeldWhilePinned) {
   nvbm::Device dev(64 << 20, quiet_cfg());
   nvbm::Heap heap(dev);
-  PmConfig pm;
-  pm.gc_on_persist = false;  // deferred collection: marking pass active
-  auto tree = PmOctree::create(heap, pm);
+  // Default C0: every octant is a DRAM node with a durable twin.
+  auto tree = PmOctree::create(heap, PmConfig{});
   tree.refine_where([](const LocCode& c, const CellData&) {
     return c.level() < 2;
   });
@@ -298,13 +296,13 @@ TEST(ServeSnapshot, TombstoningDeferredWhilePinned) {
     pinned_view[leaf_key(c)] = d.vof;
   });
 
-  // Drop shared subtrees while the pin is live: the marking pass must
-  // not touch a single pinned byte.
+  // Drop subtrees the pinned version shares: their twins are retired,
+  // and the persist holds them back for the pin.
   tree.coarsen_where(
       [](const LocCode& c, const CellData&) { return c.level() >= 1; });
-  const auto while_pinned = tree.persist();
-  EXPECT_EQ(while_pinned.tombstoned, 0u)
-      << "tombstone marking ran while an epoch was pinned";
+  tree.persist();
+  EXPECT_GT(tree.deferred_reclaim_nodes(), 0u)
+      << "no retired twin was held for the pinned version";
   LeafMap still;
   tree.for_each_leaf_snapshot(snap, [&](const LocCode& c, const CellData& d) {
     still[leaf_key(c)] = d.vof;
@@ -316,14 +314,14 @@ TEST(ServeSnapshot, TombstoningDeferredWhilePinned) {
   tree.update(tree.leaf_containing(LocCode::root().child(0).child(0)),
               cell(0.125));
   const auto after_release = tree.persist();
-  EXPECT_GT(after_release.tombstoned, 0u);
+  EXPECT_GT(after_release.gc_freed, 0u);
+  EXPECT_EQ(tree.deferred_reclaim_nodes(), 0u);
 }
 
 TEST(ServeConcurrency, ReadersRaceMutatorWithByteStableResults) {
   nvbm::Device dev(std::size_t{128} << 20, quiet_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.gc_on_persist = true;
   pm.dram_budget_bytes = 32 * sizeof(PNode);
   auto tree = PmOctree::create(heap, pm);
   tree.refine_where([](const LocCode& c, const CellData&) {
@@ -419,7 +417,6 @@ TEST(ServeCrash, CrashMidPersistWithPinnedReadersRestoresCleanly) {
   nvbm::Device dev(64 << 20, crash_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.gc_on_persist = true;
   pm.dram_budget_bytes = 16 * sizeof(PNode);
   LeafMap persisted;
   {
