@@ -116,33 +116,4 @@ struct HeapStats {
   }
 };
 
-/// Typed persistent pointer: a 64-bit offset into a Heap's device. Offset
-/// 0 addresses the heap header and therefore doubles as the null value.
-template <typename T>
-class pptr {
- public:
-  constexpr pptr() noexcept = default;
-  explicit constexpr pptr(std::uint64_t offset) noexcept : offset_(offset) {}
-
-  constexpr std::uint64_t offset() const noexcept { return offset_; }
-  constexpr bool null() const noexcept { return offset_ == 0; }
-  explicit constexpr operator bool() const noexcept { return offset_ != 0; }
-
-  /// Loads the pointee (charging device read latency).
-  T load(Device& dev) const {
-    PMO_DCHECK(!null());
-    return dev.load<T>(offset_);
-  }
-  /// Stores the pointee (charging device write latency).
-  void store(Device& dev, const T& value) const {
-    PMO_DCHECK(!null());
-    dev.store<T>(offset_, value);
-  }
-
-  friend constexpr bool operator==(const pptr&, const pptr&) = default;
-
- private:
-  std::uint64_t offset_ = 0;
-};
-
 }  // namespace pmo::nvbm

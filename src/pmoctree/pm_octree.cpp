@@ -269,7 +269,7 @@ NodeRef PmOctree::alloc_node(const PNode& proto, bool prefer_dram) {
   // Hard cap at the overflow ceiling; the placement policies already
   // enforce the tighter budget/designation rules.
   const auto ceiling = static_cast<std::size_t>(
-      static_cast<double>(config_.dram_budget_bytes) * config_.dram_overflow);
+      static_cast<double>(config_.dram_budget_bytes) * kDramOverflow);
   if (prefer_dram && dram_bytes() < ceiling) {
     PNode* slot = take_dram_slot();
     *slot = proto;
@@ -326,9 +326,7 @@ bool PmOctree::place_new(const LocCode& code) const {
   // transformation this is exactly the "locality-oblivious" behaviour of
   // Fig. 5a — DRAM fills with whatever was touched first and nothing
   // re-lays it out when the access pattern moves.
-  return dram_bytes() <
-         static_cast<std::size_t>(static_cast<double>(
-             config_.dram_budget_bytes) * config_.threshold_dram);
+  return dram_bytes() < config_.dram_budget_bytes;
 }
 
 bool PmOctree::place_cow(const LocCode& code) const {
@@ -338,7 +336,7 @@ bool PmOctree::place_cow(const LocCode& code) const {
   if (c0_set_.count(subtree_id(code)) == 0) return false;
   return dram_bytes() <
          static_cast<std::size_t>(static_cast<double>(
-             config_.dram_budget_bytes) * config_.dram_overflow);
+             config_.dram_budget_bytes) * kDramOverflow);
 }
 
 // ---------------------------------------------------------------------------
@@ -956,11 +954,11 @@ void PmOctree::census_add(SampleCensus& census, const LocCode& code,
   auto& b = census[code.ancestor_at(lsub)];
   ++b.size;
   if (in_dram) ++b.dram;
-  if (b.sample.size() < config_.n_sample) {
+  if (b.sample.size() < kNSample) {
     b.sample.emplace_back(code, data);
   } else {
     const auto j = rng_.below(b.size);
-    if (j < config_.n_sample)
+    if (j < kNSample)
       b.sample[static_cast<std::size_t>(j)] = {code, data};
   }
 }
@@ -1140,7 +1138,7 @@ PersistStats PmOctree::persist() {
 
   // Crash-injection hook: die here, with the merge's writes unflushed and
   // the durable root still pointing at V_{i-1}.
-  if (config_.crash_for_test == CrashPoint::kBeforeFlush) return stats;
+  if (crash_for_test_ == CrashPoint::kBeforeFlush) return stats;
 
   // 2. Make everything durable, then atomically swing the persistent root.
   //    This 8-byte update is the only ordering-critical write (§1).
@@ -1156,7 +1154,7 @@ PersistStats PmOctree::persist() {
   // update would write the sealed version in place.
   heap_.set_root(kNodeCountSlot, logical_nodes_);
   heap_.set_root(kEpochSlot, epoch_);
-  if (config_.crash_for_test == CrashPoint::kBeforeRootSwap) return stats;
+  if (crash_for_test_ == CrashPoint::kBeforeRootSwap) return stats;
   heap_.set_root(kPrevRootSlot, new_prev.nvbm_offset());
   telemetry::trace::instant(
       "pmoctree.version_swap", "pmoctree",
@@ -1187,45 +1185,15 @@ PersistStats PmOctree::persist() {
   // 4. Decay heat and re-layout hot subtrees (the paper triggers dynamic
   //    transformation only after merging completes).
   for (auto& [id, h] : heat_) h *= 0.5;
-  const bool want_census = config_.enable_transform && !features_.empty();
-  if (want_census) {
+  if (config_.enable_transform && !features_.empty()) {
     telemetry::Span tr_span("transform");  // pmoctree.persist.transform
-    SampleCensus census;
-    collect_census(cur_root_, census);
-    transform_with(census);
+    maybe_transform();
   }
   // C0 may overflow its budget only between merge points: trim it back
   // now. Every DRAM octant is clean with a matching twin after the merge,
   // so an eviction that reaches one links the twin instead of writing a
   // copy.
   enforce_dram_budget();
-
-  // 5. Automated C0 sizing (the paper's §6 future work): adapt the DRAM
-  //    budget to keep the NVBM tier's share of memory accesses in band.
-  if (config_.auto_budget) {
-    // Node-cache hits are DRAM accesses: count them on the DRAM side so
-    // the cache does not read as phantom NVBM pressure.
-    const std::uint64_t dram_now =
-        dram_.reads + dram_.writes + device().counters().cached_reads;
-    const std::uint64_t nvbm_now = device().counters().total_accesses();
-    const double d = static_cast<double>(dram_now - auto_last_dram_);
-    const double n = static_cast<double>(nvbm_now - auto_last_nvbm_);
-    auto_last_dram_ = dram_now;
-    auto_last_nvbm_ = nvbm_now;
-    if (d + n > 0) {
-      const double nvbm_share = n / (d + n);
-      double budget = static_cast<double>(config_.dram_budget_bytes);
-      if (nvbm_share > config_.auto_budget_high) {
-        budget *= config_.auto_budget_step;
-      } else if (nvbm_share < config_.auto_budget_low) {
-        budget /= config_.auto_budget_step;
-      }
-      config_.dram_budget_bytes = std::clamp(
-          static_cast<std::size_t>(budget), config_.auto_budget_min_bytes,
-          config_.auto_budget_max_bytes);
-      eq1_span_ = eq1_span(config_.dram_budget_bytes);
-    }
-  }
 
 #ifndef NDEBUG
   check_twins();
@@ -1450,30 +1418,15 @@ NodeRef PmOctree::dramify(NodeRef ref, std::size_t* moved,
 }
 
 TransformStats PmOctree::maybe_transform() {
-  TransformStats out;
-  if (features_.empty() || config_.dram_budget_bytes == 0) return out;
-  const int lsub = subtree_level();
-  if (lsub <= 0) return out;  // whole tree fits in DRAM; nothing to do
-  // Standalone invocation: collect the census with one traversal (the
-  // persist path collects it during the merge instead).
   SampleCensus census;
-  std::vector<NodeRef> stack{cur_root_};
-  while (!stack.empty()) {
-    const NodeRef ref = stack.back();
-    stack.pop_back();
-    const PNode node = read_node(ref);
-    census_add(census, node.code(), node.data, ref.in_dram());
-    for (int i = 0; i < kChildrenPerNode; ++i) {
-      if (node.has_child(i)) stack.push_back(node.child_ref(i));
-    }
-  }
+  collect_census(cur_root_, census);
   return transform_with(census);
 }
 
 TransformStats PmOctree::transform_with(SampleCensus& buckets) {
   TransformStats out;
   if (features_.empty() || config_.dram_budget_bytes == 0) return out;
-  if (subtree_level() <= 0) return out;
+  if (subtree_level() <= 0) return out;  // the whole tree fits in C0
   out.subtrees_sampled = buckets.size();
 
   // Pre-execute the feature functions over each bucket's sample (§3.3
@@ -1524,28 +1477,6 @@ TransformStats PmOctree::transform_with(SampleCensus& buckets) {
   }
   if (desired.empty()) return out;
 
-  // Relink helper: replaces the subtree rooted at `id` with conv(subtree).
-  auto replace_subtree = [&](const LocCode& id, bool to_dram,
-                             std::size_t* moved) {
-    Path path;
-    if (!descend(id, path)) return;
-    const std::size_t i = path.size() - 1;
-    if (i > 0) make_mutable(path, i - 1);
-    const NodeRef nref = to_dram ? dramify(path[i].ref, moved, capacity)
-                                 : nvbmify(path[i].ref, moved);
-    if (i == 0) {
-      cur_root_ = nref;
-    } else if (!(nref == path[i].ref)) {
-      path[i - 1].node.set_child(id.child_index(), nref);
-      write_back_links(path[i - 1].ref, path[i - 1].node);
-    }
-    if (to_dram) {
-      c0_set_.insert(id);
-    } else {
-      c0_set_.erase(id);
-    }
-  };
-
   // Evict resident subtrees outside the plan when Ratio_access (hottest
   // pending pull vs the resident subtree) exceeds T_transform (§3.3).
   for (auto it = ranked.rbegin(); it != ranked.rend(); ++it) {  // asc freq
@@ -1553,8 +1484,8 @@ TransformStats PmOctree::transform_with(SampleCensus& buckets) {
     const double ratio = (static_cast<double>(pull_freq) + 1.0) /
                          (static_cast<double>(it->freq) + 1.0);
     out.best_ratio = std::max(out.best_ratio, ratio);
-    if (ratio <= config_.t_transform) continue;
-    replace_subtree(it->id, /*to_dram=*/false, &out.evicted_to_nvbm);
+    if (ratio <= kTTransform) continue;
+    relocate(it->id, /*to_dram=*/false, &out.evicted_to_nvbm);
   }
   // Pull the planned hot subtrees into DRAM (hottest first) until the
   // budget is reached; dramify itself stops allocating at the budget, so
@@ -1563,7 +1494,7 @@ TransformStats PmOctree::transform_with(SampleCensus& buckets) {
   for (const auto& r : ranked) {
     if (dram_bytes() >= config_.dram_budget_bytes) break;
     if (desired.count(r.id) == 0 || r.dram == r.size) continue;
-    replace_subtree(r.id, /*to_dram=*/true, &out.moved_to_dram);
+    relocate(r.id, /*to_dram=*/true, &out.moved_to_dram);
   }
   out.transformed = out.moved_to_dram > 0 || out.evicted_to_nvbm > 0;
   if (out.transformed) tm_.transform_runs->add();
@@ -1576,6 +1507,29 @@ TransformStats PmOctree::transform_with(SampleCensus& buckets) {
          {"evicted_to_nvbm", static_cast<double>(out.evicted_to_nvbm)}});
   }
   return out;
+}
+
+void PmOctree::relocate(const LocCode& id, bool to_dram,
+                        std::size_t* moved) {
+  Path path;
+  if (!descend(id, path)) return;
+  const std::size_t i = path.size() - 1;
+  if (i > 0) make_mutable(path, i - 1);
+  const NodeRef nref =
+      to_dram ? dramify(path[i].ref, moved,
+                        config_.dram_budget_bytes / kNodeSize)
+              : nvbmify(path[i].ref, moved);
+  if (i == 0) {
+    cur_root_ = nref;
+  } else if (!(nref == path[i].ref)) {
+    path[i - 1].node.set_child(id.child_index(), nref);
+    write_back_links(path[i - 1].ref, path[i - 1].node);
+  }
+  if (to_dram) {
+    c0_set_.insert(id);
+  } else {
+    c0_set_.erase(id);
+  }
 }
 
 void PmOctree::enforce_dram_budget() {
@@ -1624,19 +1578,8 @@ void PmOctree::enforce_dram_budget() {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [h, id] : order) {
     if (dram_bytes() <= config_.dram_budget_bytes) break;
-    Path path;
-    if (!descend(id, path)) continue;
-    const std::size_t i = path.size() - 1;
-    if (i > 0) make_mutable(path, i - 1);
     std::size_t moved = 0;
-    const NodeRef nref = nvbmify(path[i].ref, &moved);
-    if (i == 0) {
-      cur_root_ = nref;
-    } else if (!(nref == path[i].ref)) {
-      path[i - 1].node.set_child(id.child_index(), nref);
-      write_back_links(path[i - 1].ref, path[i - 1].node);
-    }
-    c0_set_.erase(id);
+    relocate(id, /*to_dram=*/false, &moved);
     if (moved > 0) {
       ++eviction_merges_;
       tm_.evictions->add();

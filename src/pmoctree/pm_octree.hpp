@@ -72,6 +72,17 @@ struct PmStats {
   int depth = 0;
 };
 
+/// Where persist() dies when a crash-injection test arms it.
+enum class CrashPoint {
+  kNone,
+  /// Right after the merge, before flush_all() and the root-table update:
+  /// fresh twins and parent relinks still sit unflushed in the crash
+  /// simulator's write buffer.
+  kBeforeFlush,
+  /// Between the durable epoch store and the root swap.
+  kBeforeRootSwap,
+};
+
 /// Outcome of a dynamic layout transformation check (§3.3).
 struct TransformStats {
   bool transformed = false;
@@ -219,9 +230,7 @@ class PmOctree {
   /// Requires has_prev_version().
   SnapshotHandle pin_snapshot();
   /// Distinct epochs currently pinned.
-  std::size_t pinned_epochs() const noexcept {
-    return registry_->pin_count();
-  }
+  std::size_t pinned_epochs() const { return registry_->pin_count(); }
   /// Nodes the last reclamation (persist or gc()) kept alive solely
   /// because a pinned snapshot could still reach them (0 when nothing is
   /// pinned).
@@ -252,16 +261,16 @@ class PmOctree {
   void register_feature(FeatureFn fn) {
     features_.push_back(std::move(fn));
   }
-  void clear_features() { features_.clear(); }
 
-  /// Runs the transformation check and, when Ratio_access > T_transform,
-  /// re-lays out the tree (hot NVBM subtree into DRAM, coldest C0 subtree
-  /// out). Called automatically by persist(); exposed for tests/ablations.
+  /// Takes the sampling census (collect_census) and runs the
+  /// transformation over it: when Ratio_access > T_transform, re-lays out
+  /// the tree (hot NVBM subtree into DRAM, coldest C0 subtree out).
+  /// persist() runs it after the merge when enable_transform is set and
+  /// a feature is registered.
   TransformStats maybe_transform();
 
-  /// Feature-directed sampling census of one subtree bucket (§3.3). The
-  /// persist-time merge collects these on the fly so the transformation
-  /// needs no extra tree traversal.
+  /// Feature-directed sampling census of one subtree bucket (§3.3),
+  /// filled by collect_census's uncharged walk after the merge.
   struct SampleBucket {
     std::vector<std::pair<LocCode, CellData>> sample;
     std::size_t size = 0;
@@ -273,22 +282,17 @@ class PmOctree {
   /// The paper's Eq. 1 subtree level, from current depth and DRAM budget.
   int subtree_level() const noexcept;
 
-  /// Current (possibly auto-adapted) C0 DRAM budget in bytes.
-  std::size_t dram_budget() const noexcept {
-    return config_.dram_budget_bytes;
-  }
-
   // ---- accounting ----------------------------------------------------------
 
   PmStats stats();
   const DramCounters& dram_counters() const noexcept { return dram_; }
   const PmConfig& config() const noexcept { return config_; }
-  /// Sets PmConfig::crash_for_test on a live tree — crash tests persist
-  /// normally first, then arm the hook for the persist they want to die
-  /// inside.
-  void set_crash_for_test(CrashPoint at) noexcept {
-    config_.crash_for_test = at;
-  }
+  /// TEST HOOK (crash injection): arms the point at which persist()
+  /// returns early, emulating a process death mid-persist. Crash tests
+  /// persist normally first, then arm it for the persist they want to die
+  /// inside. The tree object is inconsistent afterwards and must be
+  /// abandoned; only Device::simulate_crash + restore are meaningful.
+  void set_crash_for_test(CrashPoint at) noexcept { crash_for_test_ = at; }
   nvbm::Heap& heap() noexcept { return heap_; }
   nvbm::Device& device() noexcept { return heap_.device(); }
   std::uint32_t epoch() const noexcept { return epoch_; }
@@ -369,8 +373,8 @@ class PmOctree {
   /// to C1" (§3.2).
   bool place_new(const LocCode& code) const;
   /// True when the octant's subtree is C0-designated (hot) and the DRAM
-  /// overflow ceiling is not yet hit. Used by place_new; hot subtrees may
-  /// transiently exceed the plain budget.
+  /// overflow ceiling (kDramOverflow) is not yet hit. Used by place_new;
+  /// hot subtrees may transiently exceed the plain budget.
   bool place_cow(const LocCode& code) const;
   std::size_t dram_bytes() const noexcept {
     return dram_node_count_ * sizeof(PNode);
@@ -440,6 +444,12 @@ class PmOctree {
   TransformStats transform_with(SampleCensus& census);
   /// Copies/moves an NVBM subtree into DRAM (layout transformation).
   NodeRef dramify(NodeRef ref, std::size_t* moved, std::size_t node_limit);
+  /// Moves the subtree `id` into one tier, counting the octants moved
+  /// into `moved`: descends to it, makes its parent mutable, converts it
+  /// (dramify up to the budget, or nvbmify), relinks it and updates the
+  /// C0 set. The one relayout step of the transformation and of
+  /// enforce_dram_budget().
+  void relocate(const LocCode& id, bool to_dram, std::size_t* moved);
   void collect_reachable_nvbm(NodeRef root,
                               std::unordered_set<std::uint64_t>& out);
   /// Shared DFS behind for_each_leaf_prev / for_each_leaf_snapshot.
@@ -491,10 +501,10 @@ class PmOctree {
 
   // state --------------------------------------------------------------------
   nvbm::Heap& heap_;
-  PmConfig config_;
-  /// Eq. 1's floor(log_8(budget nodes)), re-evaluated only where
-  /// config_.dram_budget_bytes is assigned (construction, auto-budget).
-  int eq1_span_;
+  const PmConfig config_;
+  /// Eq. 1's floor(log_8(budget nodes)), computed once at construction.
+  const int eq1_span_;
+  CrashPoint crash_for_test_ = CrashPoint::kNone;
   TelemetryCounters tm_;
 
   /// A C0 slot: one PNode on a 64-byte boundary, so its payload line is
@@ -564,9 +574,6 @@ class PmOctree {
 
   DramCounters dram_;
   std::size_t eviction_merges_ = 0;
-  /// Access totals at the last auto-budget adjustment.
-  std::uint64_t auto_last_dram_ = 0;
-  std::uint64_t auto_last_nvbm_ = 0;
   mutable Rng rng_{0xfeedc0de};
 };
 

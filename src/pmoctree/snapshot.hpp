@@ -15,13 +15,11 @@
 //
 // Concurrency model: the registry is the ONLY PmOctree state that reader
 // threads touch. pin/unpin take a small mutex (never held while doing
-// tree work); the mutator takes it only once per persist/gc, and the pin
-// count is also kept in an atomic. Handles are shared_ptr-backed
-// so they stay safe across PmOctree moves; they must not outlive the
-// heap/device (the bytes they let readers address).
+// tree work); the mutator takes it only once per persist/gc. Handles are
+// shared_ptr-backed so they stay safe across PmOctree moves; they must
+// not outlive the heap/device (the bytes they let readers address).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -72,7 +70,6 @@ class SnapshotRegistry {
     auto [it, fresh] = pins_.try_emplace(pub_.epoch, Entry{pub_.root, 0});
     (void)fresh;
     ++it->second.refs;
-    pin_count_.store(pins_.size(), std::memory_order_relaxed);
     ++pins_taken_;
     if (pins_c_ != nullptr) pins_c_->add();
     out = pub_;
@@ -95,15 +92,14 @@ class SnapshotRegistry {
     PMO_CHECK_MSG(it != pins_.end(),
                   "snapshot unpin of unpinned epoch " << epoch);
     if (--it->second.refs == 0) pins_.erase(it);
-    pin_count_.store(pins_.size(), std::memory_order_relaxed);
     ++pins_released_;
     if (unpins_c_ != nullptr) unpins_c_->add();
   }
 
-  /// Distinct pinned epochs right now. Lock-free, so any thread may poll
-  /// it without taking the pin mutex.
-  std::size_t pin_count() const noexcept {
-    return pin_count_.load(std::memory_order_relaxed);
+  /// Distinct pinned epochs right now.
+  std::size_t pin_count() const {
+    std::lock_guard lk(mu_);
+    return pins_.size();
   }
 
   /// (epoch, root) of every pinned version, ascending by epoch — the
@@ -115,11 +111,6 @@ class SnapshotRegistry {
     out.reserve(pins_.size());
     for (const auto& [epoch, e] : pins_) out.emplace_back(epoch, e.root);
     return out;
-  }
-
-  bool is_pinned(std::uint32_t epoch) const {
-    std::lock_guard lk(mu_);
-    return pins_.count(epoch) != 0;
   }
 
   /// Latest published (pinnable) version; root == 0 when none.
@@ -149,7 +140,6 @@ class SnapshotRegistry {
   Pinned pub_{};
   std::uint64_t pins_taken_ = 0;
   std::uint64_t pins_released_ = 0;
-  std::atomic<std::size_t> pin_count_{0};
   telemetry::Counter* pins_c_ = nullptr;
   telemetry::Counter* unpins_c_ = nullptr;
 };

@@ -359,17 +359,5 @@ TEST(Heap, RandomCrashesKeepEveryRootedSlotAllocated) {
   }
 }
 
-TEST(Pptr, NullAndRoundTrip) {
-  Device dev(1 << 20, cfg());
-  Heap heap(dev);
-  pptr<std::uint64_t> null;
-  EXPECT_TRUE(null.null());
-  EXPECT_FALSE(null);
-  pptr<std::uint64_t> p(heap.alloc());
-  EXPECT_TRUE(static_cast<bool>(p));
-  p.store(dev, 909);
-  EXPECT_EQ(p.load(dev), 909u);
-}
-
 }  // namespace
 }  // namespace pmo::nvbm

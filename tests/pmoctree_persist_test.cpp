@@ -444,16 +444,21 @@ TEST(RetireList, StaleEpochEvictionCopyIsReclaimed) {
   // through it must retire it, or it leaks.
   PmConfig pm;
   pm.dram_budget_bytes = 17 * sizeof(PNode);
-  pm.threshold_dram = 2.0;  // new octants may fill C0 to twice the budget
   Fixture fx(pm);
   auto tree = PmOctree::create(fx.heap, pm);
   const LocCode c0 = LocCode::root().child(0);
+  const LocCode c1 = LocCode::root().child(1);
   tree.refine(LocCode::root());
+  // Placing c1's children in DRAM marks c1's subtree hot (C0-designated).
+  tree.refine(c1);
+  tree.coarsen(c1);
   tree.refine(c0);  // 17 DRAM octants: exactly the budget
   tree.persist();   // every octant gets a durable twin
 
   tree.update(c0.child(1), cell(0.5));  // c0 stays clean, a child changes
-  tree.refine(LocCode::root().child(1));  // 25 DRAM octants: over budget
+  // A hot subtree may overflow C0 (up to kDramOverflow times the budget):
+  // 25 DRAM octants.
+  tree.refine(c1);
   for (int i = 1; i < kChildrenPerNode; ++i) {
     for (int k = 0; k < 32; ++k) tree.find(LocCode::root().child(i));
   }
@@ -522,6 +527,40 @@ TEST(RetireList, FirstPersistAfterRestoreReclaimsStrandedObjects) {
   EXPECT_GT(stats.gc_freed, 0u);
   EXPECT_EQ(fx.heap.stats().live_objects, reachable_objects(back));
   EXPECT_EQ(back.gc(), 0u);
+}
+
+TEST(DramBudget, HeldAtEveryPersist) {
+  // A starved C0 under random updates and refinements between persists,
+  // with no budget check of their own: copy-on-write, hot-subtree
+  // placement and the merge may grow C0 past its budget (kDramOverflow
+  // allows overflow only between merges), but every persist must end
+  // within it.
+  PmConfig pm;
+  pm.dram_budget_bytes = 64 << 10;
+  pm.enable_transform = false;
+  Fixture fx(pm, 256 << 20);
+  auto tree = PmOctree::create(fx.heap, pm);
+  for (int l = 0; l < 3; ++l)
+    tree.refine_where([](const LocCode&, const CellData&) { return true; });
+  Rng rng(21);
+  for (int s = 0; s < 12; ++s) {
+    tree.for_each_leaf_mut([&](const LocCode&, CellData& d) {
+      if (!rng.chance(0.6)) return false;
+      d.tracer += 1.0;
+      return true;
+    });
+    std::vector<LocCode> leaves;
+    tree.for_each_leaf(
+        [&](const LocCode& c, const CellData&) { leaves.push_back(c); });
+    for (const LocCode& c : leaves) {
+      if (c.level() < 4 && rng.chance(0.02)) tree.refine(c);
+    }
+    tree.persist();
+    const PmStats st = tree.stats();
+    EXPECT_LE(st.dram_bytes, pm.dram_budget_bytes)
+        << "persist " << s << ": " << st.dram_nodes << " octants in a "
+        << pm.dram_budget_bytes / sizeof(PNode) << "-octant C0";
+  }
 }
 
 TEST(Persist, EpochAdvancesEachPersist) {

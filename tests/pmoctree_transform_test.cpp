@@ -66,7 +66,6 @@ TEST(Transform, MovesHotSubtreeIntoDram) {
   nvbm::Heap heap(dev);
   PmConfig pm;
   pm.dram_budget_bytes = 90 * sizeof(PNode);  // roughly one subtree's worth
-  pm.t_transform = 1.5;
   auto tree = build_tree(heap, pm, 3, /*hot_child=*/5);
   tree.persist();
   auto hot_in_dram = [&] {
@@ -87,7 +86,7 @@ TEST(Transform, MovesHotSubtreeIntoDram) {
   const auto out = tree.maybe_transform();
   EXPECT_TRUE(out.transformed);
   EXPECT_GT(out.moved_to_dram, 0u);
-  EXPECT_GT(out.best_ratio, pm.t_transform);
+  EXPECT_GT(out.best_ratio, kTTransform);
   EXPECT_GT(hot_in_dram(), before);
 }
 
@@ -215,15 +214,16 @@ TEST(Transform, SamplingTouchesAtMostNSamplePerSubtree) {
   nvbm::Device dev(256 << 20, dev_cfg());
   nvbm::Heap heap(dev);
   PmConfig pm;
-  pm.dram_budget_bytes = 90 * sizeof(PNode);
-  pm.n_sample = 10;
-  auto tree = build_tree(heap, pm, 3, 1);
+  // Depth 4 under a 600-octant C0 (Eq. 1: level 4 - 3 = 1): 8 subtrees
+  // of 585 octants each, so every sample is capped at kNSample.
+  pm.dram_budget_bytes = 600 * sizeof(PNode);
+  auto tree = build_tree(heap, pm, 4, 1);
   tree.persist();
   tree.register_feature(
       [](const LocCode&, const CellData& d) { return d.vof > 0.5; });
   const auto out = tree.maybe_transform();
   EXPECT_GT(out.subtrees_sampled, 0u);
-  EXPECT_LE(out.octants_sampled, out.subtrees_sampled * pm.n_sample);
+  EXPECT_EQ(out.octants_sampled, out.subtrees_sampled * kNSample);
 }
 
 TEST(Transform, C0CountsOnlyReachableOctants) {
