@@ -755,13 +755,14 @@ std::size_t PmOctree::refine_where(
 
 std::size_t PmOctree::coarsen_where(
     const std::function<bool(const LocCode&, const CellData&)>& pred) {
-  // Find internal nodes whose children are all agreeing leaves.
+  // Find internal nodes whose children are all agreeing leaves. Each
+  // octant is read once: the stack holds the internal children a parent's
+  // scan already read.
   std::vector<LocCode> groups;
-  std::vector<NodeRef> stack{cur_root_};
+  std::vector<PNode> stack{read_node(cur_root_)};
   while (!stack.empty()) {
-    const NodeRef ref = stack.back();
+    const PNode node = stack.back();
     stack.pop_back();
-    const PNode node = read_node(ref);
     if (node.is_leaf()) continue;
     bool all_leaf = true;
     bool all_agree = true;
@@ -770,11 +771,10 @@ std::size_t PmOctree::coarsen_where(
         all_leaf = false;
         continue;
       }
-      const NodeRef c = node.child_ref(i);
-      const PNode child = read_node(c);
+      const PNode child = read_node(node.child_ref(i));
       if (!child.is_leaf()) {
         all_leaf = false;
-        stack.push_back(c);  // keep scanning deeper groups
+        stack.push_back(child);  // keep scanning deeper groups
       } else {
         all_agree &= pred(child.code(), child.data);
       }
@@ -790,6 +790,8 @@ namespace {
 struct Octants {
   std::vector<LocCode> codes;
   std::vector<std::uint8_t> leaf;
+
+  friend bool operator==(const Octants&, const Octants&) = default;
 };
 
 // One charged traversal: the same reads for_each_leaf makes.
@@ -800,6 +802,54 @@ void read_octants(PmOctree& tree, Octants& out) {
     out.codes.push_back(code);
     out.leaf.push_back(leaf);
   });
+}
+
+#ifndef NDEBUG
+// The same octants read without charges, heat or node-cache traffic.
+Octants walk_uncharged(PmOctree& tree) {
+  Octants out;
+  std::vector<NodeRef> stack{tree.current_root()};
+  while (!stack.empty()) {
+    const NodeRef ref = stack.back();
+    stack.pop_back();
+    const PNode node =
+        load_node(ref.in_dram()
+                      ? static_cast<const void*>(ref.dram_ptr())
+                      : tree.device().raw(ref.nvbm_offset(), kNodeSize));
+    out.codes.push_back(node.code());
+    out.leaf.push_back(node.is_leaf());
+    for (int i = kChildrenPerNode - 1; i >= 0; --i) {
+      if (node.has_child(i)) stack.push_back(node.child_ref(i));
+    }
+  }
+  return out;
+}
+#endif
+
+// Marks every leaf of `split` (sorted, each a leaf of `octs`) internal and
+// puts its eight children right after it, which is where they sort. One
+// backward pass in place: each octant moves once, to its final slot.
+void merge_children(Octants& octs, const std::vector<LocCode>& split) {
+  std::size_t src = octs.codes.size();
+  std::size_t dst = src + kChildrenPerNode * split.size();
+  octs.codes.resize(dst);
+  octs.leaf.resize(dst);
+  for (auto s = split.rbegin(); s != split.rend(); ++s) {
+    while (octs.codes[--src] != *s) {
+      --dst;
+      octs.codes[dst] = octs.codes[src];
+      octs.leaf[dst] = octs.leaf[src];
+    }
+    PMO_DCHECK(octs.leaf[src]);
+    for (int ci = kChildrenPerNode - 1; ci >= 0; --ci) {
+      --dst;
+      octs.codes[dst] = s->child(ci);
+      octs.leaf[dst] = 1;
+    }
+    --dst;
+    octs.codes[dst] = *s;
+    octs.leaf[dst] = 0;
+  }
 }
 
 // 2:1 balance as neighbor existence: a full octree is 2:1 balanced iff
@@ -818,8 +868,18 @@ bool find_coarse_neighbors(const Octants& octs, const LocCode& p,
                            std::vector<LocCode>& to_split) {
   const Anchor a = p.grid_anchor();  // one decode for all 26 neighbors
   const std::int64_t side = std::int64_t{1} << p.level();
+  // Per axis, the step that stays inside p's parent.
+  const int in_x = (a.x & 1) != 0 ? -1 : 1;
+  const int in_y = (a.y & 1) != 0 ? -1 : 1;
+  const int in_z = (a.z & 1) != 0 ? -1 : 1;
   bool found = false;
   for (const auto& d : LocCode::neighbor_directions()) {
+    // A sibling of p. If it is missing it is a remove() hole, and the
+    // octant before it is the internal parent or a leaf in another
+    // sibling's volume: never a leaf that contains it.
+    if ((d[0] == 0 || d[0] == in_x) && (d[1] == 0 || d[1] == in_y) &&
+        (d[2] == 0 || d[2] == in_z))
+      continue;
     const std::int64_t x = std::int64_t{a.x} + d[0];
     const std::int64_t y = std::int64_t{a.y} + d[1];
     const std::int64_t z = std::int64_t{a.z} + d[2];
@@ -842,10 +902,11 @@ bool find_coarse_neighbors(const Octants& octs, const LocCode& p,
 }  // namespace
 
 std::size_t PmOctree::balance() {
-  // Ripple passes. Each pass reads the tree once (the modeled cost of a
-  // pass) and splits one sorted batch of leaves. Refinement only adds
-  // octants, so once pass 1 has checked every internal octant, only the
-  // octants that still missed a neighbor and the leaves just split can
+  // Ripple passes over one octant array. Only pass 1 reads the tree;
+  // each pass splits one sorted batch of leaves and merges their children
+  // into the array, so it holds V_i exactly at every pass. Refinement only
+  // adds octants, so once pass 1 has checked every internal octant, only
+  // the octants that still missed a neighbor and the leaves just split can
   // miss one; each later pass checks those alone.
   std::size_t total = 0;
   Octants octs;
@@ -860,21 +921,17 @@ std::size_t PmOctree::balance() {
     for (const auto& p : worklist) {
       if (find_coarse_neighbors(octs, p, to_split)) next.push_back(p);
     }
+    if (to_split.empty()) break;
     std::sort(to_split.begin(), to_split.end());
     to_split.erase(std::unique(to_split.begin(), to_split.end()),
                    to_split.end());
-    const std::size_t flagged = next.size();
-    for (const auto& code : to_split) {
-      Path path;
-      if (descend(code, path) && path.back().node.is_leaf()) {
-        refine(code);
-        next.push_back(code);
-      }
-    }
-    if (next.size() == flagged) break;
-    total += next.size() - flagged;
+    // Every entry is a leaf of the exact array; refine() checks it too.
+    for (const auto& code : to_split) refine(code);
+    merge_children(octs, to_split);
+    PMO_DCHECK(octs == walk_uncharged(*this));
+    total += to_split.size();
+    next.insert(next.end(), to_split.begin(), to_split.end());
     worklist = std::move(next);
-    read_octants(*this, octs);
   }
   enforce_dram_budget();
   return total;

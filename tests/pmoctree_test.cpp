@@ -214,6 +214,94 @@ TEST(PmOctree, BalanceIgnoresHolesLeftByRemove) {
   }
 }
 
+/// V_i's octants, code -> is_leaf (for_each_node charges its reads).
+std::map<LocCode, bool> octant_map(PmOctree& tree) {
+  std::map<LocCode, bool> out;
+  tree.for_each_node([&](const LocCode& code, const CellData&, bool leaf) {
+    out[code] = leaf;
+  });
+  return out;
+}
+
+/// C0 lines one charged traversal of `octs` reads: the payload line of a
+/// leaf, both lines of an internal octant.
+std::uint64_t traversal_lines(const std::map<LocCode, bool>& octs) {
+  std::uint64_t lines = 0;
+  for (const auto& [code, leaf] : octs) lines += leaf ? 1 : 2;
+  return lines;
+}
+
+TEST(PmOctree, BalanceReadsTheTreeOnce) {
+  // A centre-directed chain two levels deeper than BalanceEnforcesTwoToOne's:
+  // leaves that one pass creates need splits of their own, so balance takes
+  // more than one ripple pass. Only pass 1 reads the tree; each split then
+  // adds refine()'s descent to its leaf, 2 * level + 1 C0 lines.
+  Fixture fx;
+  auto tree = PmOctree::create(fx.heap, fx.config);
+  LocCode code = LocCode::root();
+  tree.refine(code);
+  code = code.child(0);
+  for (int l = 1; l < 6; ++l) {
+    tree.refine(code);
+    code = code.child(7);
+  }
+  const auto before = octant_map(tree);
+  const auto dram_lines = tree.dram_counters().lines_read;
+  const auto nvbm_lines = fx.device.counters().lines_read;
+  const std::size_t split = tree.balance();
+  const auto read = tree.dram_counters().lines_read - dram_lines;
+  EXPECT_EQ(fx.device.counters().lines_read, nvbm_lines);  // all in C0
+
+  std::uint64_t expected = traversal_lines(before);
+  std::size_t leaves_split = 0;
+  bool ripple = false;  // a leaf that balance itself created was split
+  for (const auto& [c, leaf] : octant_map(tree)) {
+    const auto it = before.find(c);
+    if (leaf || (it != before.end() && !it->second)) continue;
+    ++leaves_split;
+    expected += 2 * static_cast<std::uint64_t>(c.level()) + 1;
+    ripple |= it == before.end();
+  }
+  EXPECT_TRUE(ripple);
+  EXPECT_EQ(leaves_split, split);
+  EXPECT_EQ(read, expected);
+  EXPECT_TRUE(tree.is_balanced());
+}
+
+TEST(PmOctree, CoarsenWhereReadsEachOctantOnce) {
+  // One traversal finds the groups, reading each octant once; each
+  // coarsen() then descends to its group (2 * (level + 1) C0 lines) and
+  // reads its eight leaves (one line each).
+  Fixture fx;
+  auto tree = PmOctree::create(fx.heap, fx.config);
+  const LocCode root = LocCode::root();
+  tree.refine(root);
+  for (int i = 0; i < kChildrenPerNode; ++i) tree.refine(root.child(i));
+  tree.refine(root.child(0).child(0));
+  tree.refine(root.child(3).child(5));
+  const auto before = octant_map(tree);
+  const auto dram_lines = tree.dram_counters().lines_read;
+  // root.child(6)'s leaves disagree; root.child(0) and root.child(3) have
+  // an internal child.
+  const std::size_t merged = tree.coarsen_where(
+      [&](const LocCode& c, const CellData&) {
+        return !root.child(6).contains(c);
+      });
+  const auto read = tree.dram_counters().lines_read - dram_lines;
+
+  std::uint64_t expected = traversal_lines(before);
+  std::size_t groups = 0;
+  for (const auto& [c, leaf] : octant_map(tree)) {
+    if (!leaf || before.at(c)) continue;
+    ++groups;
+    expected += 2 * (static_cast<std::uint64_t>(c.level()) + 1) +
+                kChildrenPerNode;
+  }
+  EXPECT_EQ(merged, 7u);
+  EXPECT_EQ(groups, merged);
+  EXPECT_EQ(read, expected);
+}
+
 TEST(PmOctree, SmallBudgetPlacesNodesInNvbm) {
   PmConfig pm;
   pm.dram_budget_bytes = 0;  // force everything to NVBM
